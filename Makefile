@@ -9,21 +9,20 @@
 #   make race         race detector over the packages with real goroutines
 #                     (kernel, parallel shard engine, cluster model)
 #   make bench-smoke  one-iteration pass over the kernel + headline benches,
-#                     then the benchgate regression + absolute-floor gates
-#                     vs BENCH_PR10.json (relative factor, events/s floor,
-#                     and the multi-shard cluster + fabric-incast
-#                     trajectory points)
+#                     then a 1-second perfbench run of each of the four
+#                     benchmark workloads; fails unless every run's output
+#                     matches its golden hash ("correct":true)
 #   make fabric       quick fabric matrix: fairness/invariance tests and the
 #                     fabric experiment family with invariants attached
 #   make chaos        quick chaos matrix: in-fabric fault classes against the
 #                     reliable transport (failover, degraded mode, the
-#                     no-silent-loss ledger) and the chaos experiments
+#                     no-silent-loss ledger), the fabric chaos scenario test,
+#                     and the chaos experiments
 #   make faults       quick fault matrix: property harness, recovery-path
 #                     tests, and fault experiments with invariants attached
 #   make protocols    quick protocol matrix: differential + transition tests,
 #                     the protocol property sweep, and a checked CXL ccbench
 #                     pass (the full UPI x CXL x seed grid runs in CI)
-#   make bench-json   regenerate the host-perf trajectory file (minutes)
 #   make golden-check full suite with online invariant checks, diffed against
 #                     the committed golden transcript (minutes)
 #   make golden-shards golden-check again on 4 concurrent workers (-shards 4):
@@ -34,7 +33,7 @@
 
 GO ?= go
 
-.PHONY: check verify lint lint-json vet race bench-smoke faults protocols fabric chaos bench-json golden-check golden-shards golden
+.PHONY: check verify lint lint-json vet race bench-smoke faults protocols fabric chaos golden-check golden-shards golden
 
 check: verify lint vet race bench-smoke faults protocols fabric chaos golden-check
 
@@ -61,9 +60,14 @@ race:
 	$(GO) test -race -count=1 ./internal/sim/ ./internal/sim/shard/ ./internal/fabric/ ./internal/cluster/
 	$(GO) test -race -count=1 -run 'TestCluster' ./internal/check/prop/
 
+# perfbench prints one JSON result as its last line; a run whose simulated
+# output misses its golden hash reports "correct":false.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Kernel|LoopbackCCNIC' -benchtime 1x .
-	$(GO) run ./cmd/benchgate
+	for w in loopback-64b kv-ads cluster-spread cluster-chaos; do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 | tail -n 1 | grep -q '"correct":true' \
+			|| { echo "bench-smoke: perfbench $$w failed" >&2; exit 1; }; \
+	done
 
 # Quick local fault matrix: every armed class against the invariant engine,
 # the directed recovery-path tests, and the faults experiment family. The
@@ -93,16 +97,15 @@ fabric:
 
 # Quick local chaos matrix: the in-fabric fault classes (portflap, corrupt,
 # blackhole, brownout) against the reliable transport — failover/fail-back,
-# degraded mode, circuit breakers, and the no-silent-loss ledger — plus the
-# chaos experiment family with the invariant engine attached. The full
-# class x seed x shard grid runs in CI (chaos-matrix job).
+# degraded mode, circuit breakers, and the no-silent-loss ledger; the fabric
+# chaos scenario (every class x seeds 1-3 at 1 and 4 workers); and the chaos
+# experiment family with the invariant engine attached. CI runs the same
+# tests one class per cell (chaos-matrix job).
 chaos:
 	$(GO) test -count=1 -run 'Fault|Outage|Brownout' ./internal/fabric/
 	$(GO) test -count=1 -run 'Reliable|Failover|Bounded|Degraded|Breaker' ./internal/cluster/
+	$(GO) test -count=1 -run 'TestFabricChaos' ./internal/check/prop/
 	$(GO) run ./cmd/ccbench -quick -check fabric-portflap failover-recovery > /dev/null
-
-bench-json:
-	$(GO) run ./cmd/ccbench -all -cluster -fabric -json BENCH_PR10.json
 
 # Every experiment at full scale with the invariant engine attached; output
 # must be bit-identical to the committed transcript. ccbench exits 1 on any

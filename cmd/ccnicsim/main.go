@@ -23,102 +23,169 @@ import (
 	"ccnic"
 	"ccnic/internal/cluster"
 	"ccnic/internal/fabric"
+	"ccnic/internal/platform"
 	"ccnic/internal/sim"
 )
 
-func main() {
-	var (
-		platName = flag.String("platform", "ICX", "platform: ICX, SPR, or CXL")
-		ifaceStr = flag.String("iface", "ccnic", "interface: ccnic, unopt, e810, cx6, overlay, overlay-unopt")
-		queues   = flag.Int("queues", 4, "host threads / queue pairs")
-		pkt      = flag.Int("pkt", 64, "packet size in bytes")
-		rate     = flag.Float64("rate", 0, "offered packets/s per queue (0 = closed-loop max)")
-		window   = flag.Int("window", 128, "closed-loop in-flight window per queue")
-		txBatch  = flag.Int("txbatch", 32, "TX burst size")
-		rxBatch  = flag.Int("rxbatch", 32, "RX burst size")
-		workload = flag.String("workload", "loopback", "workload: loopback, forward, kv, rpc")
-		dist     = flag.String("dist", "ads", "kv object distribution: ads or geo")
-		measure  = flag.Float64("measure", 150, "measurement window in microseconds")
-		prefetch = flag.Bool("prefetch", true, "host hardware prefetching")
-		doTrace  = flag.Bool("trace", false, "sample packet lifecycles and print a stage breakdown (loopback only)")
-		overlayN = flag.Int("overlay-threads", 0, "overlay forwarding threads (0 = one per queue)")
-		protoStr = flag.String("protocol", "upi", "coherence protocol backend: upi or cxl")
-		faults   = flag.String("faults", "", "arm a deterministic fault `plan`, e.g. \"seed=7,dbdrop=0.01\" or \"all=0.005\" (see internal/fault)")
-		shards   = flag.Int("shards", 0, "cluster workload: partition the hosts into `N` shards on the parallel engine (0 = one per host; results are identical for every value)")
-		hosts    = flag.Int("hosts", 0, "cluster workload: member node count (default 4)")
-		incast   = flag.Bool("incast", false, "cluster workload: converge all RPC clients on host 0 (default spread)")
-		fifo     = flag.Bool("fifo", false, "cluster workload: FIFO fabric scheduling instead of DRR fair queuing")
-		bulk     = flag.Int("bulk", 0, "cluster workload: saturating 8KiB bulk tenants aimed at host 0 (`N` generators)")
-		signal   = flag.String("signal", "ccnic", "cluster workload: host-NIC signaling model, ccnic or pcie")
-		reliable = flag.Bool("reliable", false, "cluster workload: arm the end-to-end reliable transport (timeouts, retransmission, degraded mode; prints recovery counters)")
-		switches = flag.Int("switches", 0, "cluster workload: fabric switches, 1 or 2 (redundant pair with health-probe failover; default 1, or 2 with -reliable)")
-	)
-	flag.Parse()
+// options is ccnicsim's flag surface. validate checks it and fills the
+// resolved fields below the flags.
+type options struct {
+	platform, iface, workload, dist, protocol, faults, signal string
 
-	plan, err := ccnic.ParseFaultPlan(*faults)
-	if err != nil {
+	queues, pkt, window, txBatch, rxBatch, overlayN int
+	rate, measure                                   float64
+	prefetch, trace                                 bool
+
+	hosts, shards, bulk, switches int
+	incast, fifo, reliable        bool
+
+	plan      *ccnic.FaultPlan
+	ifaceVal  ccnic.Interface
+	signaling cluster.Signal
+}
+
+// register binds every flag to a field of o.
+func (o *options) register(fs *flag.FlagSet) {
+	fs.StringVar(&o.platform, "platform", "ICX", "platform: ICX, SPR, or CXL")
+	fs.StringVar(&o.iface, "iface", "ccnic", "interface: ccnic, unopt, e810, cx6, overlay, overlay-unopt")
+	fs.IntVar(&o.queues, "queues", 4, "host threads / queue pairs")
+	fs.IntVar(&o.pkt, "pkt", 64, "packet size in bytes")
+	fs.Float64Var(&o.rate, "rate", 0, "offered packets/s per queue (0 = closed-loop max)")
+	fs.IntVar(&o.window, "window", 128, "closed-loop in-flight window per queue")
+	fs.IntVar(&o.txBatch, "txbatch", 32, "TX burst size")
+	fs.IntVar(&o.rxBatch, "rxbatch", 32, "RX burst size")
+	fs.StringVar(&o.workload, "workload", "loopback", "workload: loopback, forward, kv, rpc, cluster")
+	fs.StringVar(&o.dist, "dist", "ads", "kv object distribution: ads or geo")
+	fs.Float64Var(&o.measure, "measure", 150, "measurement window in microseconds")
+	fs.BoolVar(&o.prefetch, "prefetch", true, "host hardware prefetching")
+	fs.BoolVar(&o.trace, "trace", false, "sample packet lifecycles and print a stage breakdown (loopback only)")
+	fs.IntVar(&o.overlayN, "overlay-threads", 0, "overlay forwarding threads (0 = one per queue)")
+	fs.StringVar(&o.protocol, "protocol", "upi", "coherence protocol backend: upi or cxl")
+	fs.StringVar(&o.faults, "faults", "", "arm a deterministic fault `plan`, e.g. \"seed=7,dbdrop=0.01\" or \"all=0.005\" (see internal/fault)")
+	fs.IntVar(&o.shards, "shards", 0, "cluster workload: partition the hosts into `N` shards on the parallel engine (0 = one per host; results are identical for every value)")
+	fs.IntVar(&o.hosts, "hosts", 0, "cluster workload: member node count (default 4)")
+	fs.BoolVar(&o.incast, "incast", false, "cluster workload: converge all RPC clients on host 0 (default spread)")
+	fs.BoolVar(&o.fifo, "fifo", false, "cluster workload: FIFO fabric scheduling instead of DRR fair queuing")
+	fs.IntVar(&o.bulk, "bulk", 0, "cluster workload: saturating 8KiB bulk tenants aimed at host 0 (`N` generators)")
+	fs.StringVar(&o.signal, "signal", "ccnic", "cluster workload: host-NIC signaling model, ccnic or pcie")
+	fs.BoolVar(&o.reliable, "reliable", false, "cluster workload: arm the end-to-end reliable transport (timeouts, retransmission, degraded mode; prints recovery counters)")
+	fs.IntVar(&o.switches, "switches", 0, "cluster workload: fabric switches, 1 or 2 (redundant pair with health-probe failover; default 1, or 2 with -reliable)")
+}
+
+// interfaces maps the -iface names to the modeled host-NIC interfaces.
+var interfaces = map[string]ccnic.Interface{
+	"ccnic":         ccnic.CCNIC,
+	"unopt":         ccnic.UnoptUPI,
+	"e810":          ccnic.E810,
+	"cx6":           ccnic.CX6,
+	"overlay":       ccnic.OverlayCCNIC,
+	"overlay-unopt": ccnic.OverlayUnopt,
+}
+
+// validate rejects every flag combination the models would panic or hang
+// on, before anything runs, and resolves the parsed fields.
+func (o *options) validate() error {
+	switch o.workload {
+	case "loopback", "forward", "kv", "rpc", "cluster":
+	default:
+		return fmt.Errorf("unknown workload %q", o.workload)
+	}
+	plat := platform.ByName(o.platform)
+	if plat == nil {
+		return fmt.Errorf("unknown platform %q (ICX, SPR or CXL)", o.platform)
+	}
+	var ok bool
+	if o.ifaceVal, ok = interfaces[strings.ToLower(o.iface)]; !ok {
+		return fmt.Errorf("unknown interface %q", o.iface)
+	}
+	if _, err := ccnic.ParseProtocol(o.protocol); err != nil {
+		return err
+	}
+	var err error
+	if o.plan, err = ccnic.ParseFaultPlan(o.faults); err != nil {
+		return err
+	}
+	switch o.dist {
+	case "ads", "geo":
+	default:
+		return fmt.Errorf("unknown -dist %q (ads or geo)", o.dist)
+	}
+	switch strings.ToLower(o.signal) {
+	case "", "ccnic":
+		o.signaling = cluster.SignalCCNIC
+	case "pcie":
+		o.signaling = cluster.SignalPCIe
+	default:
+		return fmt.Errorf("unknown signaling model %q (ccnic or pcie)", o.signal)
+	}
+	switch {
+	case !(o.measure > 0):
+		return fmt.Errorf("-measure must be a positive number of microseconds")
+	case o.rate < 0:
+		return fmt.Errorf("-rate must not be negative")
+	case o.queues < 1 || o.queues > plat.CoresPerSocket:
+		return fmt.Errorf("-queues must be 1 to %d (%s's cores per socket)", plat.CoresPerSocket, plat.Name)
+	case o.pkt < 1 || o.window < 1 || o.txBatch < 1 || o.rxBatch < 1:
+		return fmt.Errorf("-pkt, -window, -txbatch and -rxbatch must be at least 1")
+	case o.overlayN < 0 || o.shards < 0 || o.bulk < 0:
+		return fmt.Errorf("-overlay-threads, -shards and -bulk must not be negative")
+	case o.hosts < 0 || o.hosts == 1:
+		return fmt.Errorf("-hosts must be at least 2 (0 for the default 4)")
+	case o.switches < 0 || o.switches > 2:
+		return fmt.Errorf("-switches models 1 or 2 fabric switches")
+	case o.switches == 2 && !o.reliable:
+		return fmt.Errorf("-switches 2 needs -reliable (the transport owns routing across the pair)")
+	}
+	if o.switches == 0 && o.reliable {
+		o.switches = 2 // give the transport's failover somewhere to go
+	}
+	return nil
+}
+
+func main() {
+	var o options
+	o.register(flag.CommandLine)
+	flag.Parse()
+	if err := o.validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "ccnicsim: %v\n", err)
 		os.Exit(1)
 	}
 
 	// The cluster workload is a multi-host topology on the parallel shard
 	// engine, not a single testbed: handle it before testbed assembly.
-	if *workload == "cluster" {
-		runCluster(clusterOpts{
-			hosts: *hosts, shards: *shards, window: *window, reqSize: *pkt,
-			measureUS: *measure, plan: plan,
-			incast: *incast, fifo: *fifo, bulk: *bulk, signal: *signal,
-			reliable: *reliable, switches: *switches,
-		})
+	if o.workload == "cluster" {
+		runCluster(&o)
 		return
 	}
 
-	iface, ok := map[string]ccnic.Interface{
-		"ccnic":         ccnic.CCNIC,
-		"unopt":         ccnic.UnoptUPI,
-		"e810":          ccnic.E810,
-		"cx6":           ccnic.CX6,
-		"overlay":       ccnic.OverlayCCNIC,
-		"overlay-unopt": ccnic.OverlayUnopt,
-	}[strings.ToLower(*ifaceStr)]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "ccnicsim: unknown interface %q\n", *ifaceStr)
-		os.Exit(1)
-	}
-
-	if _, err := ccnic.ParseProtocol(*protoStr); err != nil {
-		fmt.Fprintf(os.Stderr, "ccnicsim: %v\n", err)
-		os.Exit(1)
-	}
-
 	tb := ccnic.NewTestbed(ccnic.Config{
-		Platform:       *platName,
-		Interface:      iface,
-		Protocol:       *protoStr,
-		Queues:         *queues,
-		HostPrefetch:   *prefetch,
-		OverlayThreads: *overlayN,
-		Faults:         plan,
+		Platform:       o.platform,
+		Interface:      o.ifaceVal,
+		Protocol:       o.protocol,
+		Queues:         o.queues,
+		HostPrefetch:   o.prefetch,
+		OverlayThreads: o.overlayN,
+		Faults:         o.plan,
 	})
-	meas := sim.Time(*measure * float64(sim.Microsecond))
+	meas := sim.Time(o.measure * float64(sim.Microsecond))
 	warm := meas / 3
 
 	fmt.Printf("platform %s, interface %v over %s, %d queues, %dB packets\n",
-		tb.Plat.Name, iface, tb.Sys.Link().Label(), *queues, *pkt)
-	if plan != nil {
-		fmt.Printf("fault plan armed: %s\n", plan)
+		tb.Plat.Name, o.ifaceVal, tb.Sys.Link().Label(), o.queues, o.pkt)
+	if o.plan != nil {
+		fmt.Printf("fault plan armed: %s\n", o.plan)
 	}
 	fmt.Println()
 
-	switch *workload {
+	switch o.workload {
 	case "loopback":
 		var tr *ccnic.Tracer
-		if *doTrace {
+		if o.trace {
 			tr = ccnic.NewTracer(4, 8192)
 		}
 		res := tb.RunLoopbackTraced(ccnic.LoopbackOptions{
-			PktSize: *pkt, Rate: *rate, Window: *window,
-			TxBatch: *txBatch, RxBatch: *rxBatch,
+			PktSize: o.pkt, Rate: o.rate, Window: o.window,
+			TxBatch: o.txBatch, RxBatch: o.rxBatch,
 			Warmup: warm, Measure: meas,
 		}, tr)
 		fmt.Printf("throughput: %8.2f Mpps (%.1f Gbps payload)\n", res.Mpps(), res.Gbps)
@@ -130,38 +197,35 @@ func main() {
 			fmt.Print(tr.Report())
 		}
 	case "forward":
-		r := *rate
+		r := o.rate
 		if r == 0 {
 			r = 5e6
 		}
 		res := tb.RunForward(ccnic.LoopbackOptions{
-			PktSize: *pkt, Warmup: warm, Measure: meas,
+			PktSize: o.pkt, Warmup: warm, Measure: meas,
 		}, r)
 		fmt.Printf("forwarded: %8.2f Mpps (%.1f Gbps)\n", res.Mpps(), res.Gbps)
 	case "kv":
-		r := *rate
+		r := o.rate
 		if r == 0 {
 			r = 10e6
 		}
 		res := tb.RunKVStore(ccnic.KVOptions{
-			Dist: *dist, RatePerQueue: r, Seed: 7,
+			Dist: o.dist, RatePerQueue: r, Seed: 7,
 			Warmup: warm, Measure: meas,
 		})
 		fmt.Printf("kv store:  %8.2f Mops (%d gets, %d sets processed)\n",
 			res.Mops(), res.Gets, res.Sets)
 	case "rpc":
-		r := *rate
+		r := o.rate
 		if r == 0 {
 			r = 30e6
 		}
 		res := tb.RunRPC(ccnic.RPCOptions{
-			RPCSize: *pkt, RatePerQueue: r,
+			RPCSize: o.pkt, RatePerQueue: r,
 			Warmup: warm, Measure: meas,
 		})
 		fmt.Printf("echo rpc:  %8.2f Mops\n", res.Mops())
-	default:
-		fmt.Fprintf(os.Stderr, "ccnicsim: unknown workload %q\n", *workload)
-		os.Exit(1)
 	}
 
 	st := tb.Sys.Link().Stats()
@@ -181,53 +245,22 @@ func main() {
 	}
 }
 
-// clusterOpts collects the cluster workload's flag surface.
-type clusterOpts struct {
-	hosts, shards, window, reqSize int
-	measureUS                      float64
-	plan                           *ccnic.FaultPlan
-	incast, fifo                   bool
-	bulk                           int
-	signal                         string
-	reliable                       bool
-	switches                       int
-}
-
 // runCluster drives the multi-host cluster workload on the parallel shard
 // engine and prints its report.
-func runCluster(o clusterOpts) {
-	if o.switches < 0 || o.switches > 2 {
-		fmt.Fprintln(os.Stderr, "ccnicsim: -switches models 1 or 2 fabric switches")
-		os.Exit(1)
-	}
-	if o.switches == 0 && o.reliable {
-		o.switches = 2 // give the transport's failover somewhere to go
-	}
-	if o.switches == 2 && !o.reliable {
-		fmt.Fprintln(os.Stderr, "ccnicsim: -switches 2 needs -reliable (the transport owns routing across the pair)")
-		os.Exit(1)
-	}
+func runCluster(o *options) {
 	cfg := ccnic.ClusterConfig{
 		Hosts:      o.hosts,
 		Shards:     o.shards,
 		Window:     o.window,
-		ReqSize:    o.reqSize,
+		ReqSize:    o.pkt,
 		Faults:     o.plan,
 		FabricFIFO: o.fifo,
 		Reliable:   o.reliable,
 		Switches:   o.switches,
+		Signaling:  o.signaling,
 	}
 	if o.incast || o.bulk > 0 {
 		cfg.Pattern = cluster.PatternIncast
-	}
-	switch strings.ToLower(o.signal) {
-	case "", "ccnic":
-		cfg.Signaling = cluster.SignalCCNIC
-	case "pcie":
-		cfg.Signaling = cluster.SignalPCIe
-	default:
-		fmt.Fprintf(os.Stderr, "ccnicsim: unknown signaling model %q (ccnic or pcie)\n", o.signal)
-		os.Exit(1)
 	}
 	effHosts := cfg.Hosts
 	if effHosts == 0 {
@@ -248,7 +281,7 @@ func runCluster(o clusterOpts) {
 		fmt.Printf("fault plan armed: %s\n", o.plan)
 	}
 	fmt.Println()
-	if err := c.Run(sim.Time(o.measureUS * float64(sim.Microsecond))); err != nil {
+	if err := c.Run(sim.Time(o.measure * float64(sim.Microsecond))); err != nil {
 		fmt.Fprintf(os.Stderr, "ccnicsim: cluster: %v\n", err)
 		os.Exit(1)
 	}

@@ -9,15 +9,13 @@ import (
 
 // HostCost captures the host-side cost of regenerating one experiment: how
 // long it took in wall-clock terms, how many simulation events it executed,
-// and what it allocated. It is the measurement layer behind `ccbench -json`
-// and the BENCH_*.json perf trajectory files.
+// and how much it allocated per event. ccbench prints it in each
+// experiment's `[... completed in ...]` trailer.
 type HostCost struct {
-	WallSeconds  float64 `json:"wall_seconds"`
-	SimEvents    uint64  `json:"sim_events"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	Allocs       uint64  `json:"allocs"`
-	AllocBytes   uint64  `json:"alloc_bytes"`
-	AllocsPerEvt float64 `json:"allocs_per_event"`
+	WallSeconds  float64
+	SimEvents    uint64
+	EventsPerSec float64
+	AllocsPerEvt float64
 }
 
 // Measure runs the experiment and reports both its model-level output and
@@ -37,31 +35,12 @@ func Measure(e *Experiment, opt Options) (*Report, HostCost) {
 	events := sim.TotalEvents() - ev0
 	runtime.ReadMemStats(&m1)
 
-	c := HostCost{
-		WallSeconds: wall.Seconds(),
-		SimEvents:   events,
-		Allocs:      m1.Mallocs - m0.Mallocs,
-		AllocBytes:  m1.TotalAlloc - m0.TotalAlloc,
-	}
+	c := HostCost{WallSeconds: wall.Seconds(), SimEvents: events}
 	if c.WallSeconds > 0 {
 		c.EventsPerSec = float64(events) / c.WallSeconds
 	}
 	if events > 0 {
-		c.AllocsPerEvt = float64(c.Allocs) / float64(events)
+		c.AllocsPerEvt = float64(m1.Mallocs-m0.Mallocs) / float64(events)
 	}
 	return r, c
-}
-
-// Add accumulates another cost into c (for suite-level totals).
-func (c *HostCost) Add(o HostCost) {
-	c.WallSeconds += o.WallSeconds
-	c.SimEvents += o.SimEvents
-	c.Allocs += o.Allocs
-	c.AllocBytes += o.AllocBytes
-	if c.WallSeconds > 0 {
-		c.EventsPerSec = float64(c.SimEvents) / c.WallSeconds
-	}
-	if c.SimEvents > 0 {
-		c.AllocsPerEvt = float64(c.Allocs) / float64(c.SimEvents)
-	}
 }

@@ -32,8 +32,8 @@ type abortSignal struct{}
 
 // totalEvents accumulates scheduled events across every kernel in the
 // process, flushed once per Run/RunUntil call. It feeds host-side
-// simulation-rate reporting (ccbench -json) and costs nothing on the
-// per-event hot path.
+// simulation-rate reporting (ccbench's per-experiment trailer) and costs
+// nothing on the per-event hot path.
 var totalEvents atomic.Uint64
 
 // TotalEvents returns the number of simulation events executed by all
