@@ -8,6 +8,9 @@
 #   make lint-json    same run, findings as cclint.json (the CI artifact)
 #   make race         race detector over the packages with real goroutines
 #                     (kernel, parallel shard engine, cluster model)
+#   make fuzz         30 s of native fuzzing on the coherence line index
+#                     (FuzzDirectory; its seed corpus also runs under
+#                     go test)
 #   make bench-smoke  one-iteration pass over the kernel + headline benches,
 #                     then a 1-second perfbench run of each of the four
 #                     benchmark workloads; fails unless every run's output
@@ -33,9 +36,9 @@
 
 GO ?= go
 
-.PHONY: check verify lint lint-json vet race bench-smoke faults protocols fabric chaos golden-check golden-shards golden
+.PHONY: check verify lint lint-json vet race fuzz bench-smoke faults protocols fabric chaos golden-check golden-shards golden
 
-check: verify lint vet race bench-smoke faults protocols fabric chaos golden-check
+check: verify lint vet race fuzz bench-smoke faults protocols fabric chaos golden-check
 
 verify:
 	$(GO) build ./...
@@ -59,6 +62,12 @@ vet:
 race:
 	$(GO) test -race -count=1 ./internal/sim/ ./internal/sim/shard/ ./internal/fabric/ ./internal/cluster/
 	$(GO) test -race -count=1 -run 'TestCluster' ./internal/check/prop/
+
+# Native fuzzing: random create/lookup/retire sequences against the
+# directory's line index, checked against a map. New failing inputs are
+# written under internal/coherence/testdata/fuzz/ and replay under go test.
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzDirectory -fuzztime 30s ./internal/coherence
 
 # perfbench prints one JSON result as its last line; a run whose simulated
 # output misses its golden hash reports "correct":false.

@@ -59,13 +59,14 @@ func (s *System) accessLine(a *Agent, line mem.Addr, write, quiet, fullLine bool
 	ctr := &s.counters[a.socket]
 
 	// L2 hit paths.
-	if e := a.l2.get(line); e != nil {
+	rec := s.dir.find(line)
+	if e := a.l2.get(rec); e != nil {
 		if !write || e.state == Modified {
 			s.lineEvent(line)
 			return result{lat: p.L2Hit}
 		}
 		// Shared -> Modified upgrade.
-		d := s.ent(line)
+		d := s.claim(rec, line)
 		lat := p.L2Hit
 		crossed := false
 		if len(d.sharers) > 1 || d.owner != nil || !d.holds(a.l2) {
@@ -76,7 +77,7 @@ func (s *System) accessLine(a *Agent, line mem.Addr, write, quiet, fullLine bool
 		}
 		d.removeSharer(a.l2)
 		for _, c := range d.sharers {
-			c.drop(line)
+			c.drop(d)
 		}
 		d.sharers = d.sharers[:0]
 		d.owner = a.l2
@@ -89,7 +90,7 @@ func (s *System) accessLine(a *Agent, line mem.Addr, write, quiet, fullLine bool
 	}
 
 	// L2 miss: find the data.
-	d := s.ent(line)
+	d := s.claim(rec, line)
 	var lat sim.Time
 	var queue sim.Time
 	crossed := false
@@ -151,21 +152,21 @@ func (s *System) accessLine(a *Agent, line mem.Addr, write, quiet, fullLine bool
 		switch {
 		case write:
 			// RFO with migratory dirty forwarding (or ItoM above).
-			owner.drop(line)
+			owner.drop(d)
 			d.owner = a.l2
-			a.l2.insertMiss(line, Modified)
+			a.l2.insertMiss(d, Modified)
 		case quiet:
 			// Prefetch read: demote the owner to Shared (writing
 			// the dirty data back to home) and fill Shared.
 			d.owner = nil
 			if owner.isLLC {
-				owner.drop(line)
+				owner.drop(d)
 			} else {
-				owner.touch(line, Shared)
+				owner.touch(d, Shared)
 				d.sharers = append(d.sharers, owner)
 			}
 			d.sharers = append(d.sharers, a.l2)
-			a.l2.insertMiss(line, Shared)
+			a.l2.insertMiss(d, Shared)
 			if home != owner.socket {
 				s.counters[owner.socket].Writebacks++
 			}
@@ -190,18 +191,18 @@ func (s *System) accessLine(a *Agent, line mem.Addr, write, quiet, fullLine bool
 			}
 			crossed = crossed || icrossed
 			for _, c := range d.sharers {
-				c.drop(line)
+				c.drop(d)
 			}
 			d.sharers = d.sharers[:0]
 			d.owner = a.l2
-			a.l2.insertMiss(line, Modified)
+			a.l2.insertMiss(d, Modified)
 		} else if quiet {
 			if src == s.llc[a.socket] {
-				src.drop(line)
+				src.drop(d)
 				d.removeSharer(src)
 			}
 			d.sharers = append(d.sharers, a.l2)
-			a.l2.insertMiss(line, Shared)
+			a.l2.insertMiss(d, Shared)
 		}
 	default: // memory
 		switch {
@@ -228,10 +229,10 @@ func (s *System) accessLine(a *Agent, line mem.Addr, write, quiet, fullLine bool
 		}
 		if write {
 			d.owner = a.l2
-			a.l2.insertMiss(line, Modified)
+			a.l2.insertMiss(d, Modified)
 		} else if quiet {
 			d.sharers = append(d.sharers, a.l2)
-			a.l2.insertMiss(line, Shared)
+			a.l2.insertMiss(d, Shared)
 		}
 	}
 
@@ -261,10 +262,11 @@ func (s *System) accessLine(a *Agent, line mem.Addr, write, quiet, fullLine bool
 // while the fetch was in flight; the resolution is defensive). It is the
 // UPI backend's commitRead method.
 func (s *System) commitRead(a *Agent, line mem.Addr) {
-	if a.l2.peek(line) != nil {
+	rec := s.dir.find(line)
+	if a.l2.in(rec) != nil {
 		return // already resident (raced with another fill)
 	}
-	d := s.ent(line)
+	d := s.claim(rec, line)
 	switch {
 	case d.owner != nil:
 		owner := d.owner
@@ -273,7 +275,7 @@ func (s *System) commitRead(a *Agent, line mem.Addr) {
 			// Deliberate defect (engine self-tests): migrate ownership
 			// without invalidating the previous owner's copy.
 			d.owner = a.l2
-			a.l2.insertMiss(line, Modified)
+			a.l2.insertMiss(d, Modified)
 		case s.noMigrate:
 			// Ablation: demote the owner to Shared (writing the dirty
 			// data back to home) and fill the reader Shared. The
@@ -281,33 +283,33 @@ func (s *System) commitRead(a *Agent, line mem.Addr) {
 			// crossing — the extra roundtrip traffic Fig 8/17 measure.
 			d.owner = nil
 			if owner.isLLC {
-				owner.drop(line)
+				owner.drop(d)
 			} else {
-				owner.touch(line, Shared)
+				owner.touch(d, Shared)
 				d.sharers = append(d.sharers, owner)
 			}
 			d.sharers = append(d.sharers, a.l2)
-			a.l2.insertMiss(line, Shared)
+			a.l2.insertMiss(d, Shared)
 			if mem.Home(line) != owner.socket {
 				s.counters[owner.socket].Writebacks++
 			}
 		default:
 			// Migratory dirty forwarding: ownership moves to the reader.
-			owner.drop(line)
+			owner.drop(d)
 			d.owner = a.l2
-			a.l2.insertMiss(line, Modified)
+			a.l2.insertMiss(d, Modified)
 		}
 	case len(d.sharers) > 0:
 		if llc := s.llc[a.socket]; d.holds(llc) {
 			// Victim-cache semantics: the line moves up.
-			llc.drop(line)
+			llc.drop(d)
 			d.removeSharer(llc)
 		}
 		d.sharers = append(d.sharers, a.l2)
-		a.l2.insertMiss(line, Shared)
+		a.l2.insertMiss(d, Shared)
 	default:
 		d.sharers = append(d.sharers, a.l2)
-		a.l2.insertMiss(line, Shared)
+		a.l2.insertMiss(d, Shared)
 	}
 	s.lineEvent(line)
 }

@@ -53,32 +53,27 @@ func (s State) String() string {
 	return fmt.Sprintf("State(%d)", uint8(s))
 }
 
-// entry is one resident cache line; entries form an intrusive LRU list.
+// entry is one resident cache line. Entries form an intrusive LRU list per
+// cache and, through hnext, the list of copies hanging off the line's
+// directory record — the record leads to every cache's entry for the line,
+// so an access needs one index probe whichever caches it touches.
 type entry struct {
-	line       mem.Addr
+	d          *dirEntry // the line's record
+	c          *Cache    // the cache holding this copy
 	state      State
 	prev, next *entry
+	hnext      *entry // next copy of the same line (another cache's entry)
 }
 
-// cachePageLines is the number of line slots per cache page: each page
-// covers 256KB of simulated address space (32KB of host pointers) and is
-// materialized on first touch, mirroring the directory's paged layout.
-const cachePageLines = 1 << 12
-
-// cachePage holds residency slots for one contiguous 256KB address span.
-type cachePage [cachePageLines]*entry
-
 // Cache is a capacity-limited, fully-associative LRU cache of 64B lines.
-// It models either a core's private L2 or a socket's shared LLC.
+// It models either a core's private L2 or a socket's shared LLC. Residency
+// is indexed by the system's line table (see dirTable), not per cache.
 type Cache struct {
 	name   string
 	socket int
 	isLLC  bool
 	capAct int // capacity in lines
 	n      int // resident lines
-	// pages is the per-socket paged residency index: two array indexings
-	// per lookup where a map probe used to be.
-	pages [2][]*cachePage
 	// LRU list: head.next is most-recent, head.prev is least-recent.
 	head entry
 	// free recycles evicted entries (singly linked via next), so a cache
@@ -100,28 +95,6 @@ func newCache(sys *System, name string, socket int, capBytes int64, isLLC bool) 
 	return c
 }
 
-// slot returns the residency slot for a line, materializing its page on
-// first touch.
-//
-//ccnic:noalloc
-func (c *Cache) slot(line mem.Addr) **entry {
-	home, idx := mem.LineIndex(line)
-	pi, si := idx/cachePageLines, idx%cachePageLines
-	pages := c.pages[home]
-	if pi >= len(pages) {
-		grown := make([]*cachePage, pi+1) //ccnic:alloc-ok page-table growth, one-time per span
-		copy(grown, pages)
-		pages = grown
-		c.pages[home] = pages
-	}
-	pg := pages[pi]
-	if pg == nil {
-		pg = new(cachePage) //ccnic:alloc-ok one-time per touched 256KB span
-		pages[pi] = pg
-	}
-	return &pg[si]
-}
-
 // Name returns the cache's debug name.
 func (c *Cache) Name() string { return c.name }
 
@@ -131,11 +104,28 @@ func (c *Cache) Socket() int { return c.socket }
 // Len returns the number of resident lines.
 func (c *Cache) Len() int { return c.n }
 
-// get returns the entry for line and promotes it to most-recent, or nil.
+// in returns the cache's copy among a line record's copies, or nil; a nil
+// record (a line absent from the index) has no copies.
 //
 //ccnic:noalloc
-func (c *Cache) get(line mem.Addr) *entry {
-	e := *c.slot(line)
+func (c *Cache) in(d *dirEntry) *entry {
+	if d == nil {
+		return nil
+	}
+	for e := d.held; e != nil; e = e.hnext {
+		if e.c == c {
+			return e
+		}
+	}
+	return nil
+}
+
+// get returns the cache's copy from a line record and promotes it to
+// most-recent, or nil.
+//
+//ccnic:noalloc
+func (c *Cache) get(d *dirEntry) *entry {
+	e := c.in(d)
 	if e != nil {
 		c.unlink(e)
 		c.pushFront(e)
@@ -143,36 +133,38 @@ func (c *Cache) get(line mem.Addr) *entry {
 	return e
 }
 
-// peek returns the entry without touching recency.
+// peek returns the entry for a line without touching recency.
 //
 //ccnic:noalloc
-func (c *Cache) peek(line mem.Addr) *entry { return *c.slot(line) }
+func (c *Cache) peek(line mem.Addr) *entry { return c.in(c.sys.dir.find(line)) }
 
-// insertMiss adds a line in the given state, evicting the LRU line if full.
-// The caller must have just observed the line to be absent (via get or peek
-// returning nil) and must have updated the directory for the inserted line;
-// insertMiss handles directory maintenance for the victim only. Residency
-// changes to an already-present line go through touch instead.
+// insertMiss adds the line of record d in the given state, evicting the LRU
+// line if full. The caller must have just observed the line to be absent
+// (via get or peek returning nil) and must have updated the directory for
+// the inserted line; insertMiss handles directory maintenance for the victim
+// only. Residency changes to an already-present line go through touch
+// instead.
 //
 //ccnic:noalloc
-func (c *Cache) insertMiss(line mem.Addr, st State) {
+func (c *Cache) insertMiss(d *dirEntry, st State) {
 	for c.n >= c.capAct {
 		c.evictLRU()
 	}
 	e := c.alloc()
-	e.line, e.state = line, st
-	*c.slot(line) = e
+	e.d, e.state = d, st
+	e.hnext = d.held
+	d.held = e
 	c.n++
 	c.pushFront(e)
 }
 
 // touch updates a resident line's state in place and refreshes its recency,
 // reporting whether the line was resident. It replaces drop+insert pairs,
-// which cost three map operations and an entry recycle.
+// which cost two index updates and an entry recycle.
 //
 //ccnic:noalloc
-func (c *Cache) touch(line mem.Addr, st State) bool {
-	e := c.get(line)
+func (c *Cache) touch(d *dirEntry, st State) bool {
+	e := c.get(d)
 	if e == nil {
 		return false
 	}
@@ -186,32 +178,33 @@ func (c *Cache) touch(line mem.Addr, st State) bool {
 func (c *Cache) alloc() *entry {
 	e := c.free
 	if e == nil {
-		return &entry{} //ccnic:alloc-ok freelist warm-up; steady state recycles
+		return &entry{c: c} //ccnic:alloc-ok freelist warm-up; steady state recycles
 	}
 	c.free = e.next
 	e.next = nil
 	return e
 }
 
-// recycle pushes an unlinked entry onto the freelist.
+// remove takes a resident entry out of the cache and out of its record's
+// copies, and pushes it onto the freelist.
 //
 //ccnic:noalloc
-func (c *Cache) recycle(e *entry) {
-	e.prev = nil
+func (c *Cache) remove(e *entry) {
+	e.d.unhold(e)
+	c.unlink(e)
+	c.n--
+	e.d, e.hnext = nil, nil
 	e.next = c.free
 	c.free = e
 }
 
-// drop removes a line without writeback bookkeeping (invalidation).
+// drop removes the line of record d without writeback bookkeeping
+// (invalidation).
 //
 //ccnic:noalloc
-func (c *Cache) drop(line mem.Addr) {
-	s := c.slot(line)
-	if e := *s; e != nil {
-		c.unlink(e)
-		*s = nil
-		c.n--
-		c.recycle(e)
+func (c *Cache) drop(d *dirEntry) {
+	if e := c.in(d); e != nil {
+		c.remove(e)
 	}
 }
 
@@ -224,12 +217,9 @@ func (c *Cache) evictLRU() {
 	if e == &c.head {
 		panic("coherence: evict on empty cache")
 	}
-	c.unlink(e)
-	*c.slot(e.line) = nil
-	c.n--
-	line, st := e.line, e.state
-	c.recycle(e)
-	c.sys.evicted(c, line, st)
+	d, st := e.d, e.state
+	c.remove(e)
+	c.sys.evicted(c, d, st)
 }
 
 //ccnic:noalloc
@@ -251,6 +241,6 @@ func (c *Cache) unlink(e *entry) {
 // in tests), walking the LRU list — every resident entry is on it.
 func (c *Cache) forEach(fn func(line mem.Addr, st State)) {
 	for e := c.head.next; e != &c.head; e = e.next {
-		fn(e.line, e.state)
+		fn(e.d.line, e.state)
 	}
 }

@@ -81,18 +81,21 @@ func (b BiasState) String() string {
 	return "host"
 }
 
+// cxlPageLines is the number of lines per protocol-state page: each page
+// covers 256KB of simulated address space in 4KB of bytes and is
+// materialized on first touch.
+const cxlPageLines = 1 << 12
+
 // cxlPage holds protocol-private per-line state for one contiguous 256KB
-// address span, paged exactly like the directory.
-type cxlPage [dirPageLines]uint8
+// address span, indexed by the line's dense index (mem.LineIndex).
+type cxlPage [cxlPageLines]uint8
 
 // cxlBackend is the CXL protocol engine.
 type cxlBackend struct {
 	s *System
-	// filter is the host-managed snoop filter over host-homed lines,
-	// indexed like the home-0 directory pages.
+	// filter is the host-managed snoop filter over host-homed lines.
 	filter []*cxlPage
-	// bias is the per-line bias state over device-homed (HDM) lines,
-	// indexed like the home-1 directory pages.
+	// bias is the per-line bias state over device-homed (HDM) lines.
 	bias []*cxlPage
 }
 
@@ -101,12 +104,12 @@ func newCXLBackend(s *System) *cxlBackend { return &cxlBackend{s: s} }
 func (b *cxlBackend) protocol() Protocol { return ProtoCXL }
 
 // stateAt returns a pointer to the paged protocol-state byte for a line,
-// materializing its page on first touch (same policy as the directory).
+// materializing its page on first touch.
 //
 //ccnic:noalloc
 func (b *cxlBackend) stateAt(line mem.Addr) *uint8 {
 	home, idx := mem.LineIndex(line)
-	pi, slot := idx/dirPageLines, idx%dirPageLines
+	pi, slot := idx/cxlPageLines, idx%cxlPageLines
 	pages := &b.filter
 	if home == deviceSocket {
 		pages = &b.bias
@@ -129,7 +132,7 @@ func (b *cxlBackend) stateAt(line mem.Addr) *uint8 {
 //ccnic:noalloc
 func (b *cxlBackend) peekState(line mem.Addr) uint8 {
 	home, idx := mem.LineIndex(line)
-	pi, slot := idx/dirPageLines, idx%dirPageLines
+	pi, slot := idx/cxlPageLines, idx%cxlPageLines
 	pages := b.filter
 	if home == deviceSocket {
 		pages = b.bias
@@ -251,7 +254,7 @@ func (b *cxlBackend) dropCopies(d *dirEntry, keeper *Cache, line mem.Addr) {
 	skip := b.skipsDeviceSnoop(keeper, line)
 	if d.owner != nil {
 		if d.owner != keeper && !(skip && d.owner.socket == deviceSocket) {
-			d.owner.drop(line)
+			d.owner.drop(d)
 		}
 		d.owner = nil
 	}
@@ -262,7 +265,7 @@ func (b *cxlBackend) dropCopies(d *dirEntry, keeper *Cache, line mem.Addr) {
 		if skip && c.socket == deviceSocket {
 			continue // trusted-absent per the filter; stale copies survive
 		}
-		c.drop(line)
+		c.drop(d)
 	}
 	d.sharers = d.sharers[:0]
 }
@@ -331,25 +334,25 @@ func (b *cxlBackend) reclaimBias(line mem.Addr) {
 			}
 		}
 		d.sharers = kept
-		s.gc(line, d)
+		s.gc(d)
 		return
 	}
 	if d.owner != nil && d.owner.socket == hostSocket {
 		s.link.Data(s.k.Now(), interconn.DirFromTo(hostSocket, deviceSocket), mem.LineSize)
 		s.counters[hostSocket].Writebacks++
-		d.owner.drop(line)
+		d.owner.drop(d)
 		d.owner = nil
 	}
 	kept := d.sharers[:0]
 	for _, c := range d.sharers {
 		if c.socket == hostSocket {
-			c.drop(line)
+			c.drop(d)
 		} else {
 			kept = append(kept, c)
 		}
 	}
 	d.sharers = kept
-	s.gc(line, d)
+	s.gc(d)
 }
 
 // fetchLat is the demand latency of a cross-link data fetch toward
@@ -384,13 +387,14 @@ func (b *cxlBackend) access(a *Agent, line mem.Addr, write, quiet, fullLine bool
 	ctr := &s.counters[a.socket]
 
 	// L2 hit paths.
-	if e := a.l2.get(line); e != nil {
+	rec := s.dir.find(line)
+	if e := a.l2.get(rec); e != nil {
 		if !write || e.state == Modified {
 			s.lineEvent(line)
 			return result{lat: p.L2Hit}
 		}
 		// Shared -> Modified upgrade.
-		d := s.ent(line)
+		d := s.claim(rec, line)
 		lat := p.L2Hit
 		crossed := false
 		if len(d.sharers) > 1 || d.owner != nil || !d.holds(a.l2) {
@@ -412,7 +416,7 @@ func (b *cxlBackend) access(a *Agent, line mem.Addr, write, quiet, fullLine bool
 	}
 
 	// L2 miss: find the data.
-	d := s.ent(line)
+	d := s.claim(rec, line)
 	var lat sim.Time
 	var queue sim.Time
 	crossed := false
@@ -477,19 +481,19 @@ func (b *cxlBackend) access(a *Agent, line mem.Addr, write, quiet, fullLine bool
 		case write:
 			b.dropCopies(d, a.l2, line)
 			d.owner = a.l2
-			a.l2.insertMiss(line, Modified)
+			a.l2.insertMiss(d, Modified)
 		case quiet:
 			// Prefetch read: demote the owner to Shared (writing the
 			// dirty data back home) and fill Shared.
 			d.owner = nil
 			if owner.isLLC {
-				owner.drop(line)
+				owner.drop(d)
 			} else {
-				owner.touch(line, Shared)
+				owner.touch(d, Shared)
 				d.sharers = append(d.sharers, owner)
 			}
 			d.sharers = append(d.sharers, a.l2)
-			a.l2.insertMiss(line, Shared)
+			a.l2.insertMiss(d, Shared)
 			if home != owner.socket {
 				s.counters[owner.socket].Writebacks++
 			}
@@ -517,14 +521,14 @@ func (b *cxlBackend) access(a *Agent, line mem.Addr, write, quiet, fullLine bool
 			crossed = crossed || icrossed
 			b.dropCopies(d, a.l2, line)
 			d.owner = a.l2
-			a.l2.insertMiss(line, Modified)
+			a.l2.insertMiss(d, Modified)
 		} else if quiet {
 			if src == s.llc[a.socket] {
-				src.drop(line)
+				src.drop(d)
 				d.removeSharer(src)
 			}
 			d.sharers = append(d.sharers, a.l2)
-			a.l2.insertMiss(line, Shared)
+			a.l2.insertMiss(d, Shared)
 		}
 	default: // memory
 		switch {
@@ -545,10 +549,10 @@ func (b *cxlBackend) access(a *Agent, line mem.Addr, write, quiet, fullLine bool
 		}
 		if write {
 			d.owner = a.l2
-			a.l2.insertMiss(line, Modified)
+			a.l2.insertMiss(d, Modified)
 		} else if quiet {
 			d.sharers = append(d.sharers, a.l2)
-			a.l2.insertMiss(line, Shared)
+			a.l2.insertMiss(d, Shared)
 		}
 	}
 
@@ -586,36 +590,37 @@ func (b *cxlBackend) access(a *Agent, line mem.Addr, write, quiet, fullLine bool
 // UPI backend's no-migration ablation, but here it is the protocol.
 func (b *cxlBackend) commitRead(a *Agent, line mem.Addr) {
 	s := b.s
-	if a.l2.peek(line) != nil {
+	rec := s.dir.find(line)
+	if a.l2.in(rec) != nil {
 		return // already resident (raced with another fill)
 	}
-	d := s.ent(line)
+	d := s.claim(rec, line)
 	switch {
 	case d.owner != nil:
 		owner := d.owner
 		d.owner = nil
 		if owner.isLLC {
-			owner.drop(line)
+			owner.drop(d)
 		} else {
-			owner.touch(line, Shared)
+			owner.touch(d, Shared)
 			d.sharers = append(d.sharers, owner)
 		}
 		d.sharers = append(d.sharers, a.l2)
-		a.l2.insertMiss(line, Shared)
+		a.l2.insertMiss(d, Shared)
 		if mem.Home(line) != owner.socket {
 			s.counters[owner.socket].Writebacks++
 		}
 	case len(d.sharers) > 0:
 		if llc := s.llc[a.socket]; d.holds(llc) {
 			// Victim-cache semantics: the line moves up.
-			llc.drop(line)
+			llc.drop(d)
 			d.removeSharer(llc)
 		}
 		d.sharers = append(d.sharers, a.l2)
-		a.l2.insertMiss(line, Shared)
+		a.l2.insertMiss(d, Shared)
 	default:
 		d.sharers = append(d.sharers, a.l2)
-		a.l2.insertMiss(line, Shared)
+		a.l2.insertMiss(d, Shared)
 	}
 	b.track(a, line)
 	if a.socket == hostSocket && mem.Home(line) == hostSocket {
@@ -667,7 +672,7 @@ func (b *cxlBackend) checkSystem() error {
 			if v == uint8(FilterAbsent) {
 				continue
 			}
-			line := mem.LineAt(hostSocket, pi*dirPageLines+slot)
+			line := mem.LineAt(hostSocket, pi*cxlPageLines+slot)
 			if err := b.checkLine(line); err != nil {
 				return err
 			}

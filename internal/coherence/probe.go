@@ -130,7 +130,7 @@ func (s *System) CheckLine(line mem.Addr) error {
 			return fmt.Errorf("line %#x: owner %s coexists with %d sharers",
 				line, d.owner.name, len(d.sharers))
 		}
-		e := d.owner.peek(line)
+		e := d.owner.in(d)
 		if e == nil {
 			return fmt.Errorf("line %#x: directory owner %s does not hold the line",
 				line, d.owner.name)
@@ -147,7 +147,7 @@ func (s *System) CheckLine(line mem.Addr) error {
 				return fmt.Errorf("line %#x: duplicate sharer %s", line, c.name)
 			}
 		}
-		e := c.peek(line)
+		e := c.in(d)
 		if e == nil {
 			return fmt.Errorf("line %#x: directory sharer %s does not hold the line",
 				line, c.name)

@@ -25,12 +25,19 @@ type Counters struct {
 	StallTime sim.Time
 }
 
-// dirEntry is the global directory state for one line. Invariant: owner is
+// dirEntry is one line's record in the system's line index (dirTable): the
+// global directory state plus the list of cache copies. Invariant: owner is
 // non-nil only when exactly one cache holds the line Modified, in which case
 // sharers is empty.
 type dirEntry struct {
+	line    mem.Addr
 	owner   *Cache
 	sharers []*Cache
+	// held lists the cache entries holding the line (linked via hnext).
+	// It mirrors owner/sharers whenever the invariants hold, but is kept
+	// by the caches themselves, so a stale copy the directory forgot (a
+	// seeded protocol defect) is still found and evicted.
+	held *entry
 	// pendingUntil is when the most recent ownership-acquiring store
 	// commits globally. A read by another agent before then stalls: the
 	// line cannot be forwarded while the RFO is in flight. This is what
@@ -38,20 +45,11 @@ type dirEntry struct {
 	// (Fig 8's separate-line penalty), while a writer that already owns
 	// the line (co-located layouts) commits locally.
 	pendingUntil sim.Time
-	// present marks the slot live. Entries live in paged dense arrays
-	// indexed by line (see System.dirAt); a gc'd entry stays in place with
-	// present=false, preserving its sharers capacity for the next use of
-	// the same line — line churn allocates nothing in steady state.
+	// present marks the directory state live. gc clears it once no cache
+	// is claimed, and the record leaves the index as soon as no copy is
+	// held either; a record with stale copies stays until they are evicted.
 	present bool
 }
-
-// dirPageLines is the number of lines per directory page: each page covers
-// 256KB of simulated address space and is materialized on first touch, so
-// directory memory tracks the allocator's bump frontier, not cache capacity.
-const dirPageLines = 1 << 12
-
-// dirPage holds directory slots for one contiguous 256KB address span.
-type dirPage [dirPageLines]dirEntry
 
 // System is the two-socket coherent memory system.
 type System struct {
@@ -66,7 +64,7 @@ type System struct {
 
 	llc      [2]*Cache
 	agents   [2][]*Agent
-	dir      [2][]*dirPage // per-socket paged directory, indexed by line
+	dir      dirTable // line index: directory records and cache copies
 	counters [2]Counters
 	prefetch [2]bool
 
@@ -179,61 +177,62 @@ func (s *System) NewAgent(socket int, name string) *Agent {
 	return a
 }
 
-// dirAt returns the directory slot for a line, materializing its page on
-// first touch. Two array indexings replace the map probe that used to
-// dominate the directory's cost.
-//
-//ccnic:noalloc
-func (s *System) dirAt(line mem.Addr) *dirEntry {
-	home, idx := mem.LineIndex(line)
-	pi, slot := idx/dirPageLines, idx%dirPageLines
-	pages := s.dir[home]
-	if pi >= len(pages) {
-		grown := make([]*dirPage, pi+1) //ccnic:alloc-ok page-table growth, one-time per span
-		copy(grown, pages)
-		pages = grown
-		s.dir[home] = pages
-	}
-	pg := pages[pi]
-	if pg == nil {
-		pg = new(dirPage) //ccnic:alloc-ok one-time per touched 256KB span
-		pages[pi] = pg
-	}
-	return &pg[slot]
-}
-
 // lookup returns the live directory entry for a line, or nil — the read-only
 // counterpart of ent.
 //
 //ccnic:noalloc
 func (s *System) lookup(line mem.Addr) *dirEntry {
-	d := s.dirAt(line)
-	if !d.present {
+	d := s.dir.find(line)
+	if d == nil || !d.present {
 		return nil
 	}
 	return d
 }
 
-// ent returns (creating if needed) the directory entry for a line. Slots are
-// reused in place, so line churn (ring buffers cycling through the address
-// space) allocates nothing in steady state.
-//ccnic:noalloc
-func (s *System) ent(line mem.Addr) *dirEntry {
-	d := s.dirAt(line)
-	if !d.present {
-		d.present = true
-		d.pendingUntil = 0 // owner/sharers already cleared by gc
-	}
-	return d
-}
-
-// gc retires an empty directory entry; its slot (and sharers capacity) stays
-// in place for the line's next use.
+// ent returns (creating if needed) the live directory entry for a line.
 //
 //ccnic:noalloc
-func (s *System) gc(line mem.Addr, d *dirEntry) {
-	if d.owner == nil && len(d.sharers) == 0 {
+func (s *System) ent(line mem.Addr) *dirEntry { return s.claim(s.dir.find(line), line) }
+
+// claim is ent for a line whose record the caller has already looked up
+// (rec, or nil if the line has none), so an access probes the index once.
+//
+//ccnic:noalloc
+func (s *System) claim(rec *dirEntry, line mem.Addr) *dirEntry {
+	if rec == nil {
+		rec = s.dir.insert(line)
+	}
+	if !rec.present {
+		rec.present = true
+		rec.pendingUntil = 0 // owner/sharers already cleared by gc
+	}
+	return rec
+}
+
+// gc retires an empty directory entry: its record leaves the index (and
+// keeps its sharers capacity on the free list) unless a cache still holds
+// a copy the directory no longer claims. It is idempotent: a retired record
+// is never removed twice.
+//
+//ccnic:noalloc
+func (s *System) gc(d *dirEntry) {
+	if d.present && d.owner == nil && len(d.sharers) == 0 {
 		d.present = false
+		if d.held == nil {
+			s.dir.remove(d)
+		}
+	}
+}
+
+// unhold unlinks a cache copy from the record's list of copies.
+//
+//ccnic:noalloc
+func (d *dirEntry) unhold(e *entry) {
+	for p := &d.held; *p != nil; p = &(*p).hnext {
+		if *p == e {
+			*p = e.hnext
+			return
+		}
 	}
 }
 
@@ -261,12 +260,14 @@ func (d *dirEntry) hasRemote(sock int) bool {
 	return false
 }
 
-// evicted handles a victim leaving cache c. L2 victims (clean or dirty)
-// move into the socket's LLC; LLC dirty victims write back to the home
-// memory, crossing the link if homed remotely.
+// evicted handles a victim leaving cache c; d is the victim line's record,
+// still in the index. L2 victims (clean or dirty) move into the socket's
+// LLC; LLC dirty victims write back to the home memory, crossing the link
+// if homed remotely.
 //ccnic:noalloc
-func (s *System) evicted(c *Cache, line mem.Addr, st State) {
-	d := s.ent(line)
+func (s *System) evicted(c *Cache, d *dirEntry, st State) {
+	line := d.line
+	s.claim(d, line)
 	if c.isLLC {
 		if d.owner == c {
 			d.owner = nil
@@ -277,7 +278,7 @@ func (s *System) evicted(c *Cache, line mem.Addr, st State) {
 		} else {
 			d.removeSharer(c)
 		}
-		s.gc(line, d)
+		s.gc(d)
 		s.proto.residencyChanged(line)
 		return
 	}
@@ -288,13 +289,13 @@ func (s *System) evicted(c *Cache, line mem.Addr, st State) {
 	} else {
 		d.removeSharer(c)
 		if d.holds(llc) || d.owner == llc {
-			llc.touch(line, st) // refresh recency only
+			llc.touch(d, st) // refresh recency only
 			s.proto.residencyChanged(line)
 			return
 		}
 		d.sharers = append(d.sharers, llc)
 	}
-	llc.insertMiss(line, st)
+	llc.insertMiss(d, st)
 	s.proto.residencyChanged(line)
 }
 
@@ -321,14 +322,14 @@ func (s *System) dropEverywhere(line mem.Addr, sock int) bool {
 	}
 	remote := d.hasRemote(sock)
 	if d.owner != nil {
-		d.owner.drop(line)
+		d.owner.drop(d)
 		d.owner = nil
 	}
 	for _, c := range d.sharers {
-		c.drop(line)
+		c.drop(d)
 	}
 	d.sharers = d.sharers[:0]
-	s.gc(line, d)
+	s.gc(d)
 	s.proto.residencyChanged(line)
 	s.lineEvent(line)
 	return remote
@@ -344,7 +345,7 @@ func (s *System) DeviceWriteLine(line mem.Addr, socket int) {
 	d := s.ent(line)
 	llc := s.llc[socket]
 	d.owner = llc
-	llc.insertMiss(line, Modified)
+	llc.insertMiss(d, Modified)
 	s.proto.residencyChanged(line)
 	s.lineEvent(line)
 }
@@ -358,7 +359,7 @@ func (s *System) DeviceReadLine(line mem.Addr) {
 		return
 	}
 	owner := d.owner
-	owner.touch(line, Shared)
+	owner.touch(d, Shared)
 	d.owner = nil
 	d.sharers = append(d.sharers, owner)
 	s.proto.residencyChanged(line)
@@ -368,18 +369,11 @@ func (s *System) DeviceReadLine(line mem.Addr) {
 // forEachDir visits every live directory entry in address order (validation
 // paths only; the hot path never iterates the directory).
 func (s *System) forEachDir(fn func(line mem.Addr, d *dirEntry)) {
-	for home := range s.dir {
-		for pi, pg := range s.dir[home] {
-			if pg == nil {
-				continue
-			}
-			for slot := range pg {
-				if d := &pg[slot]; d.present {
-					fn(mem.LineAt(home, pi*dirPageLines+slot), d)
-				}
-			}
+	s.dir.forEach(func(d *dirEntry) {
+		if d.present {
+			fn(d.line, d)
 		}
-	}
+	})
 }
 
 // CheckInvariants validates global coherence invariants; tests call it after

@@ -170,15 +170,19 @@ func (pr *Program) yieldWitness(fn *types.Func, yields map[*types.Func]bool, see
 }
 
 // calleeOf statically resolves a call's target function or method, or nil
-// for builtins, conversions, and calls through function values.
+// for builtins, conversions, and calls through function values. A method of
+// an instantiated generic type resolves to its origin, the generic method
+// whose declaration (and annotations) the program holds.
 func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
+	var fn *types.Func
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		fn, _ := info.Uses[fun].(*types.Func)
-		return fn
+		fn, _ = info.Uses[fun].(*types.Func)
 	case *ast.SelectorExpr:
-		fn, _ := info.Uses[fun.Sel].(*types.Func)
-		return fn
+		fn, _ = info.Uses[fun.Sel].(*types.Func)
 	}
-	return nil
+	if fn == nil {
+		return nil
+	}
+	return fn.Origin()
 }

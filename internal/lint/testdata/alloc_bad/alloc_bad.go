@@ -55,3 +55,19 @@ func (p *pool) convert(s string, bs []byte) int {
 	s2 := string(bs) // want "byte/rune slice to string allocates"
 	return len(b2) + len(s2)
 }
+
+// stack is generic: calls through an instantiation resolve to the generic
+// method's declaration, so its annotation decides, not "external function".
+type stack[T any] struct{ items []T }
+
+// reset allocates and is NOT annotated.
+func (s *stack[T]) reset(n int) { s.items = make([]T, 0, n) }
+
+//ccnic:noalloc
+func (s *stack[T]) top() T { return s.items[len(s.items)-1] }
+
+//ccnic:noalloc
+func useStack(s *stack[int]) int {
+	s.reset(8) // want "call to .*reset, which is not annotated //ccnic:noalloc"
+	return s.top()
+}

@@ -55,8 +55,10 @@ func Lines(a Addr, size int, fn func(line Addr)) {
 
 // LineIndex returns the home socket of a line address and the line's dense
 // index within that socket's allocation arena (0 for the first allocatable
-// line). Because Space is a bump allocator, indices are small and contiguous,
-// which lets per-line metadata live in paged dense arrays instead of maps.
+// line). Because Space is a bump allocator, indices are small and contiguous.
+// The CXL backend's one-byte-per-line snoop filter and bias state live in
+// paged dense arrays indexed this way; the coherence directory itself is a
+// hash index over resident lines and does not use it.
 //
 //ccnic:noalloc
 func LineIndex(a Addr) (home, idx int) {
