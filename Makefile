@@ -9,8 +9,10 @@
 #   make race         race detector over the packages with real goroutines
 #                     (kernel, parallel shard engine, cluster model)
 #   make fuzz         30 s of native fuzzing on the coherence line index
-#                     (FuzzDirectory; its seed corpus also runs under
-#                     go test)
+#                     (FuzzDirectory), then 30 s on the kernel's SleepWhile
+#                     steps against the Sleep loops they replace
+#                     (FuzzSleepWhile); both seed corpora also run under
+#                     go test
 #   make bench-smoke  one-iteration pass over the kernel + headline benches,
 #                     then a 1-second perfbench run of each of the four
 #                     benchmark workloads; fails unless every run's output
@@ -64,10 +66,13 @@ race:
 	$(GO) test -race -count=1 -run 'TestCluster' ./internal/check/prop/
 
 # Native fuzzing: random create/lookup/retire sequences against the
-# directory's line index, checked against a map. New failing inputs are
-# written under internal/coherence/testdata/fuzz/ and replay under go test.
+# directory's line index, checked against a map; then random process sets
+# whose pollers use SleepWhile, checked against the same programs written
+# with Sleep loops. New failing inputs are written under the package's
+# testdata/fuzz/ and replay under go test.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDirectory -fuzztime 30s ./internal/coherence
+	$(GO) test -run '^$$' -fuzz FuzzSleepWhile -fuzztime 30s ./internal/sim
 
 # perfbench prints one JSON result as its last line; a run whose simulated
 # output misses its golden hash reports "correct":false.

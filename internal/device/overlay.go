@@ -5,6 +5,7 @@ import (
 
 	"ccnic/internal/bufpool"
 	"ccnic/internal/coherence"
+	"ccnic/internal/mem"
 	"ccnic/internal/platform"
 	"ccnic/internal/sim"
 )
@@ -120,6 +121,7 @@ func (o *Overlay) forwardMain(p *sim.Proc, a *coherence.Agent, txQueues, rxQueue
 	pollGap := o.front.sys.Platform().PollGap
 	burst := cfg.NICBurst
 	rx := make([]*bufpool.Buf, burst)
+	var lines []mem.Addr // scratch line list, reused by every burst
 	for !o.stopped {
 		busy := false
 		for _, qi := range txQueues {
@@ -145,7 +147,8 @@ func (o *Overlay) forwardMain(p *sim.Proc, a *coherence.Agent, txQueues, rxQueue
 					cm.extLen = 0
 					copyMetas = append(copyMetas, cm)
 				}
-				a.GatherRead(p, payloadLines(copyMetas))
+				lines = payloadLines(lines[:0], copyMetas)
+				a.GatherRead(p, lines)
 				out := make([]*bufpool.Buf, 0, len(metas))
 				for _, m := range metas {
 					nb := bq.Port().Alloc(p, m.len)
@@ -159,7 +162,8 @@ func (o *Overlay) forwardMain(p *sim.Proc, a *coherence.Agent, txQueues, rxQueue
 						fq.nicPort.Free(p, m.buf)
 					}
 				}
-				a.ScatterWrite(p, bufLines(out))
+				lines = bufLines(lines[:0], out)
+				a.ScatterWrite(p, lines)
 				if !cfg.InlineSignal && !cfg.NICBufMgmt {
 					fq.completeTx(p, len(metas))
 				}
@@ -177,7 +181,8 @@ func (o *Overlay) forwardMain(p *sim.Proc, a *coherence.Agent, txQueues, rxQueue
 			got := bq.RxBurst(p, rx)
 			if got > 0 {
 				busy = true
-				a.GatherRead(p, bufLines(rx[:got])) // DDIO: local LLC
+				lines = bufLines(lines[:0], rx[:got])
+				a.GatherRead(p, lines) // DDIO: local LLC
 				fwd := make([]rxMeta, 0, got)
 				for i := 0; i < got; i++ {
 					b := rx[i]

@@ -423,6 +423,18 @@ func (q *pcieQueue) fetchMain(p *sim.Proc) {
 	d := q.dev
 	pollGap := d.sys.Platform().PollGap
 	flt := d.sys.Faults()
+	// idle is the engine's poll while it has nothing to fetch, run by the
+	// scheduler as a SleepWhile step: no doorbell work and no visible TX
+	// tail leaves only the wire, whose arrivals it queues at the same
+	// instant until none is due.
+	idle := func() bool {
+		for !q.stopped && q.dbDup == 0 && !q.txReady(p.Now()) {
+			if !q.ingress(p.Now()) {
+				return true
+			}
+		}
+		return false
+	}
 	for !q.stopped {
 		busy := false
 		now := p.Now()
@@ -436,7 +448,7 @@ func (q *pcieQueue) fetchMain(p *sim.Proc) {
 		}
 
 		// TX fetch.
-		if now >= q.txTailVisible && q.txSeen < q.txTailShadow {
+		if q.txReady(now) {
 			busy = true
 			// Transient pipeline stall (armed fault plans only): the
 			// engine pauses before serving the doorbell.
@@ -506,42 +518,56 @@ func (q *pcieQueue) fetchMain(p *sim.Proc) {
 			q.txSeen += n
 		}
 
-		// Synthetic ingress. The wire is a finite-rate source: when the
-		// device pipeline is backlogged, arrivals queue at the MAC
-		// rather than reserving unbounded pipeline slots.
-		if q.ingressGen != nil && q.ingressRate > 0 {
-			interval := sim.Time(1e12 / q.ingressRate)
-			injected := 0
-			for p.Now() >= q.nextIngress && injected < 32 && len(q.deliveries) < 256 {
-				if q.nextIngress == 0 {
-					q.nextIngress = p.Now()
-				}
-				if q.pendingIngress == 0 {
-					q.pendingIngress = q.ingressGen()
-				}
-				q.deliveries = append(q.deliveries, delivery{
-					readyAt: p.Now() + d.nic.PipelineLat,
-					size:    q.pendingIngress,
-					born:    p.Now(),
-				})
-				q.pendingIngress = 0
-				q.nextIngress += interval
-				injected++
-				busy = true
-			}
-			// If the wire outpaces the device, arrivals are lost at
-			// the MAC; keep the clock moving so the backlog stays
-			// bounded. The op-stream alignment is preserved because
-			// the drawn size is held, not discarded.
-			if over := p.Now() - q.nextIngress; over > 10*sim.Microsecond && len(q.deliveries) >= 256 {
-				q.nextIngress = p.Now() - 10*sim.Microsecond
-			}
+		if q.ingress(p.Now()) {
+			busy = true
 		}
 
 		if !busy {
-			p.Sleep(pollGap)
+			p.SleepWhile(pollGap, idle)
 		}
 	}
+}
+
+// txReady reports whether the device can observe TX descriptors it has not
+// fetched yet.
+func (q *pcieQueue) txReady(now sim.Time) bool {
+	return now >= q.txTailVisible && q.txSeen < q.txTailShadow
+}
+
+// ingress runs the synthetic wire up to now and reports whether it queued
+// any arrival. The wire is a finite-rate source: when the device pipeline
+// is backlogged, arrivals queue at the MAC rather than reserving unbounded
+// pipeline slots. It never yields, so fetchMain's idle step runs it too.
+func (q *pcieQueue) ingress(now sim.Time) bool {
+	if q.ingressGen == nil || q.ingressRate <= 0 {
+		return false
+	}
+	interval := sim.Time(1e12 / q.ingressRate)
+	injected := 0
+	for now >= q.nextIngress && injected < 32 && len(q.deliveries) < 256 {
+		if q.nextIngress == 0 {
+			q.nextIngress = now
+		}
+		if q.pendingIngress == 0 {
+			q.pendingIngress = q.ingressGen()
+		}
+		q.deliveries = append(q.deliveries, delivery{
+			readyAt: now + q.dev.nic.PipelineLat,
+			size:    q.pendingIngress,
+			born:    now,
+		})
+		q.pendingIngress = 0
+		q.nextIngress += interval
+		injected++
+	}
+	// If the wire outpaces the device, arrivals are lost at the MAC; keep
+	// the clock moving so the backlog stays bounded. The op-stream
+	// alignment is preserved because the drawn size is held, not
+	// discarded.
+	if over := now - q.nextIngress; over > 10*sim.Microsecond && len(q.deliveries) >= 256 {
+		q.nextIngress = now - 10*sim.Microsecond
+	}
+	return injected > 0
 }
 
 // deliverMain is the device's RX engine: it waits for packets to clear the
@@ -551,9 +577,13 @@ func (q *pcieQueue) deliverMain(p *sim.Proc) {
 	d := q.dev
 	pollGap := d.sys.Platform().PollGap
 	flt := d.sys.Faults()
+	// The engine's two idle waits, run by the scheduler as SleepWhile
+	// steps: each reports whether the engine is still waiting.
+	noDelivery := func() bool { return !q.stopped && len(q.deliveries) == 0 }
+	noBlank := func() bool { return !q.stopped && q.blankMissing(p.Now()) }
 	for !q.stopped {
 		if len(q.deliveries) == 0 {
-			p.Sleep(pollGap)
+			p.SleepWhile(pollGap, noDelivery)
 			continue
 		}
 		dv := q.deliveries[0]
@@ -569,11 +599,11 @@ func (q *pcieQueue) deliverMain(p *sim.Proc) {
 			p.Sleep(out - p.Now())
 		}
 		// Wait for a blank (the host may need to catch up on reposts).
-		for q.rxSeenNIC >= q.rxTailShadow || p.Now() < q.rxTailVisible {
+		for q.blankMissing(p.Now()) {
 			if q.stopped {
 				return
 			}
-			p.Sleep(pollGap * 4)
+			p.SleepWhile(pollGap*4, noBlank)
 		}
 		idx := q.rxSeenNIC
 		q.rxSeenNIC++
@@ -601,6 +631,12 @@ func (q *pcieQueue) deliverMain(p *sim.Proc) {
 		at += flt.DMADelay()
 		q.rxDoneAt[idx%q.rxR.Size()] = at
 	}
+}
+
+// blankMissing reports whether the device sees no posted blank to deliver
+// into.
+func (q *pcieQueue) blankMissing(now sim.Time) bool {
+	return q.rxSeenNIC >= q.rxTailShadow || now < q.rxTailVisible
 }
 
 // DebugState summarizes per-queue pipeline state for diagnostics.

@@ -38,27 +38,27 @@ func snapshot(pkts []*bufpool.Buf, keepBufs bool) []pktMeta {
 	return metas
 }
 
-// payloadLines collects every cache line of every packet segment in a burst
-// so payload accesses can overlap (memory-level parallelism across packets,
-// as on real hardware).
-func payloadLines(metas []pktMeta) []mem.Addr {
-	var lines []mem.Addr
+// payloadLines appends every cache line of every packet segment in a burst
+// to dst so payload accesses can overlap (memory-level parallelism across
+// packets, as on real hardware). Callers pass a scratch list their loop
+// owns, emptied (dst[:0]), so steady-state bursts allocate nothing.
+func payloadLines(dst []mem.Addr, metas []pktMeta) []mem.Addr {
 	for _, m := range metas {
-		mem.Lines(m.addr, m.len, func(l mem.Addr) { lines = append(lines, l) })
+		mem.Lines(m.addr, m.len, func(l mem.Addr) { dst = append(dst, l) })
 		if m.extLen > 0 {
-			mem.Lines(m.ext, m.extLen, func(l mem.Addr) { lines = append(lines, l) })
+			mem.Lines(m.ext, m.extLen, func(l mem.Addr) { dst = append(dst, l) })
 		}
 	}
-	return lines
+	return dst
 }
 
-// bufLines collects the payload cache lines of already-sized buffers.
-func bufLines(bufs []*bufpool.Buf) []mem.Addr {
-	var lines []mem.Addr
+// bufLines appends the payload cache lines of already-sized buffers to dst,
+// a loop-owned scratch list as for payloadLines.
+func bufLines(dst []mem.Addr, bufs []*bufpool.Buf) []mem.Addr {
 	for _, b := range bufs {
-		mem.Lines(b.Addr, b.Len, func(l mem.Addr) { lines = append(lines, l) })
+		mem.Lines(b.Addr, b.Len, func(l mem.Addr) { dst = append(dst, l) })
 	}
-	return lines
+	return dst
 }
 
 // nicStep performs one service iteration for the queue: consume submitted
@@ -84,7 +84,8 @@ func (q *upiQueue) nicStep(p *sim.Proc) bool {
 	} else {
 		metas = q.regConsumeTx(p)
 	}
-	q.nic.GatherRead(p, payloadLines(metas))
+	q.lines = payloadLines(q.lines[:0], metas)
+	q.nic.GatherRead(p, q.lines)
 	if !cfg.InlineSignal && !cfg.NICBufMgmt {
 		q.completeTx(p, len(metas))
 	}
@@ -216,7 +217,8 @@ func (q *upiQueue) rxEmit(p *sim.Proc, pkts []rxMeta) int {
 			nb.Len, nb.Seq, nb.Born = m.size, m.seq, m.born
 			rx = append(rx, nb)
 		}
-		q.nic.ScatterWrite(p, bufLines(rx))
+		q.lines = bufLines(q.lines[:0], rx)
+		q.nic.ScatterWrite(p, q.lines)
 		var posted int
 		if cfg.InlineSignal {
 			posted = q.rxI.Post(p, q.nic, rx)
@@ -238,7 +240,8 @@ func (q *upiQueue) rxEmit(p *sim.Proc, pkts []rxMeta) int {
 			blank.Len, blank.Seq, blank.Born = m.size, m.seq, m.born
 			blanks = append(blanks, blank)
 		}
-		q.nic.ScatterWrite(p, bufLines(blanks))
+		q.lines = bufLines(q.lines[:0], blanks)
+		q.nic.ScatterWrite(p, q.lines)
 		posted := q.rxI.Post(p, q.nic, blanks)
 		q.rxI.TakeReclaimed()
 		// Blanks that did not fit stay with the NIC for the next
@@ -268,7 +271,8 @@ func (q *upiQueue) rxEmit(p *sim.Proc, pkts []rxMeta) int {
 		doneCount++
 	}
 	if doneCount > 0 {
-		q.nic.ScatterWrite(p, bufLines(written))
+		q.lines = bufLines(q.lines[:0], written)
+		q.nic.ScatterWrite(p, q.lines)
 		for _, l := range q.rxR.LinesFor(doneFrom, doneCount) {
 			q.nic.WriteAsync(p, l, 8)
 		}

@@ -32,6 +32,11 @@ const (
 	// yields the call-graph walk cannot see (function-pointer indirection)
 	// and for self-contained analyzer fixtures.
 	AnnotYields = "yields"
+	// AnnotSteps marks a function whose function-typed arguments run on the
+	// scheduler as steps (like sim.Proc.SleepWhile's): yieldlint requires
+	// them not to yield. For analyzer fixtures; the kernel's own step
+	// primitive is listed in yieldlint's stepRoots.
+	AnnotSteps = "steps"
 	// AnnotShardBoundary suppresses shardlint on its line (or the line
 	// below): the package legitimately declares or drives a cross-shard
 	// link boundary (see internal/sim/shard).

@@ -9,7 +9,9 @@
 //   - yieldlint: computes the transitive set of yielding functions from the
 //     kernel's blocking primitives and flags yielding calls inside regions
 //     annotated //ccnic:atomic — the statically-detectable shape of the
-//     bufpool conservation bug the runtime engine caught in PR 2.
+//     bufpool conservation bug the runtime engine caught in PR 2 — and
+//     inside functions passed as sim.Proc.SleepWhile steps, which run on
+//     the scheduler.
 //   - probelint: requires every call through a Probe-typed validation hook
 //     to be nil-guarded, keeping the checks-disabled path a single branch.
 //   - alloclint: checks functions annotated //ccnic:noalloc (the paths the

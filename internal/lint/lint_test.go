@@ -23,6 +23,13 @@ func TestDetlintClean(t *testing.T) { linttest.Run(t, "testdata/det_clean", lint
 func TestYieldlintPR2Bug(t *testing.T) { linttest.Run(t, "testdata/yield_pr2bug", lint.Yieldlint) }
 func TestYieldlintClean(t *testing.T)  { linttest.Run(t, "testdata/yield_clean", lint.Yieldlint) }
 
+// SleepWhile steps run on the scheduler, so yieldlint flags every yield
+// reachable from a function passed as one.
+func TestYieldlintStepBad(t *testing.T) { linttest.Run(t, "testdata/yield_step_bad", lint.Yieldlint) }
+func TestYieldlintStepClean(t *testing.T) {
+	linttest.Run(t, "testdata/yield_step_clean", lint.Yieldlint)
+}
+
 func TestProbelintBad(t *testing.T)   { linttest.Run(t, "testdata/probe_bad", lint.Probelint) }
 func TestProbelintClean(t *testing.T) { linttest.Run(t, "testdata/probe_clean", lint.Probelint) }
 
@@ -100,12 +107,20 @@ func TestMutationSelfChecks(t *testing.T) {
 		wantMsg  string
 	}{
 		{
-			name:    "yieldlint refinds reverted PR2 fix",
-			fixture: "testdata/yield_clean",
-			old:     "//ccnic:atomic-end the charge below may yield; the pool is consistent\n\t\texec(1)",
-			new:     "exec(1)\n\t\t//ccnic:atomic-end fix reverted: the charge yields mid-region",
+			name:     "yieldlint refinds reverted PR2 fix",
+			fixture:  "testdata/yield_clean",
+			old:      "//ccnic:atomic-end the charge below may yield; the pool is consistent\n\t\texec(1)",
+			new:      "exec(1)\n\t\t//ccnic:atomic-end fix reverted: the charge yields mid-region",
 			analyzer: lint.Yieldlint,
 			wantMsg:  "yielding function exec",
+		},
+		{
+			name:     "yieldlint flags a yield added to a step's helper",
+			fixture:  "testdata/yield_step_clean",
+			old:      "\tq.wire--\n",
+			new:      "\tq.wire--\n\tq.p.sleep(1)\n",
+			analyzer: lint.Yieldlint,
+			wantMsg:  "inside a SleepWhile step (ingress -> sleep)",
 		},
 		{
 			name:     "detlint flags unsorted map drain",

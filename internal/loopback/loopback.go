@@ -21,14 +21,14 @@ import (
 	"ccnic/internal/trace"
 )
 
-// payloadLines collects the payload cache lines of a burst so accesses can
-// overlap across packets, as an out-of-order core would.
-func payloadLines(bufs []*bufpool.Buf) []mem.Addr {
-	var lines []mem.Addr
+// payloadLines appends the payload cache lines of a burst to dst so accesses
+// can overlap across packets, as an out-of-order core would. Callers pass
+// their loop's scratch list, emptied (dst[:0]).
+func payloadLines(dst []mem.Addr, bufs []*bufpool.Buf) []mem.Addr {
 	for _, b := range bufs {
-		mem.Lines(b.Addr, b.Len, func(l mem.Addr) { lines = append(lines, l) })
+		mem.Lines(b.Addr, b.Len, func(l mem.Addr) { dst = append(dst, l) })
 	}
-	return lines
+	return dst
 }
 
 // Config describes one loopback run.
@@ -114,6 +114,7 @@ func Run(cfg Config) Result {
 		st := &qs[i]
 		k.Spawn(fmt.Sprintf("loopgen%d", i), func(p *sim.Proc) {
 			rx := make([]*bufpool.Buf, cfg.RxBatch)
+			var lines []mem.Addr // scratch line list, reused by every burst
 			var nextSend sim.Time
 			interval := sim.Time(0)
 			if cfg.Rate > 0 {
@@ -154,7 +155,8 @@ func Run(cfg Config) Result {
 						cfg.Trace.Mark(traceSeq(i, b.Seq), trace.Born, p.Now())
 						bufs = append(bufs, b)
 					}
-					a.ScatterWrite(p, payloadLines(bufs))
+					lines = payloadLines(lines[:0], bufs)
+					a.ScatterWrite(p, lines)
 					n := q.TxBurst(p, bufs)
 					for j := 0; j < n; j++ {
 						cfg.Trace.Mark(traceSeq(i, bufs[j].Seq), trace.Submitted, p.Now())
@@ -175,7 +177,8 @@ func Run(cfg Config) Result {
 				// --- Receive ---
 				got := q.RxBurst(p, rx)
 				if got > 0 {
-					a.GatherRead(p, payloadLines(rx[:got]))
+					lines = payloadLines(lines[:0], rx[:got])
+					a.GatherRead(p, lines)
 					now := p.Now()
 					if pr := cfg.Sys.Probe(); pr != nil {
 						if st.rcvd+int64(got) > st.sent {

@@ -68,7 +68,15 @@ type Proc struct {
 
 	wake Time // scheduled resume time while runnable
 	seq  uint64
-	fn   func(*Proc) // current body; rebound when a pooled proc is respawned
+
+	// SleepWhile state: while step is set the process is parked in
+	// SleepWhile and the scheduler runs step in its place at each wake,
+	// rescheduling it stepGap later for as long as step reports idle. step
+	// sits next to wake so the scheduler's check shares its cache line.
+	step    func() bool
+	stepGap Time
+
+	fn func(*Proc) // current body; rebound when a pooled proc is respawned
 
 	// Coroutine control. resume transfers execution into the process and
 	// returns when it parks (true) or its function returns (false); yield
@@ -129,68 +137,151 @@ func (p *Proc) Wait(ev *Event) {
 	p.park(procWaiting)
 }
 
+// SleepWhile behaves exactly like
+//
+//	p.Sleep(d)
+//	for step() {
+//		p.Sleep(d)
+//	}
+//
+// except that step runs on the scheduler, not on p's coroutine: when p's
+// wake comes up, the kernel calls step at precisely the heap position, clock
+// value and event count where p would have resumed, and resumes p only once
+// step returns false. An idle poll therefore costs a function call instead
+// of a coroutine round trip, and every output — Events, scheduling order,
+// model state — is the same as the Sleep loop's.
+//
+// The step contract: step may read and mutate model state, Signal events,
+// Spawn and Stop, but it must not yield. It runs on whichever stack is
+// scheduling (another process's coroutine or the run loop), so Sleep, Wait,
+// Yield or anything built on them would park the wrong coroutine; park
+// panics if called while a step runs, and yieldlint flags yielding calls in
+// a step statically. Each step call counts as one event, as the resumption
+// it stands in for did.
+//
+//ccnic:noalloc
+func (p *Proc) SleepWhile(d Time, step func() bool) {
+	if d < 0 {
+		d = 0
+	}
+	p.step, p.stepGap = step, d
+	p.Sleep(d)
+}
+
 // park picks the next runnable process and hands the execution baton back to
 // the kernel's run loop, which resumes that process. This is the kernel's
 // hot path: scheduling runs inline on the parking coroutine, so a
 // park-resume cycle costs one coroutine round trip through the run loop —
-// and no switch at all when the parking process is itself the next to run.
+// and no switch at all when the parking process is itself the next to run,
+// or when every process selected before it is an idle SleepWhile step.
 //
 //ccnic:noalloc
 func (p *Proc) park(s procState) {
 	k := p.k
+	if k.stepping {
+		panic("sim: a SleepWhile step blocked; steps run on the scheduler and must not yield")
+	}
 	p.state = s
+	var q *Proc
 	if s == procRunnable {
-		// Run-next fast path: p wakes strictly before every scheduled
-		// process, so it would be popped right back; skip the heap and the
-		// coroutine switches entirely. Strict inequality preserves FIFO
-		// ordering at equal instants (a re-pushed proc would sort behind
-		// its peers).
-		if top := k.heap.peek(); (top == nil || p.wake < top.wake) &&
-			!k.stopped && (k.deadline < 0 || p.wake <= k.deadline) {
-			if p.wake > k.now {
-				k.now = p.wake
-			}
-			k.events++
+		q = p
+		if !k.runNext(p) {
+			q = k.requeue(p)
+		}
+		if q != nil && q.step != nil {
+			q = k.settle(q)
+		}
+		if q == p {
 			p.state = procRunning
 			return
 		}
-		k.seq++
-		p.seq = k.seq
-		if k.stopped {
-			k.heap.push(p) // Shutdown will abort p from the heap
-			k.hand = nil
-		} else {
-			// One sift instead of a push and a pop.
-			q := k.heap.pushpop(p)
-			if k.deadline >= 0 && q.wake > k.deadline {
-				k.push(q) // reschedule for a future Run
-				if k.now < k.deadline {
-					k.now = k.deadline
-				}
-				k.hand = nil
-			} else {
-				if q.wake > k.now {
-					k.now = q.wake
-				}
-				k.events++
-				if k.probe != nil {
-					k.probe.Event(k.now)
-				}
-				if q == p {
-					p.state = procRunning
-					return
-				}
-				k.hand = q
-			}
-		}
 	} else {
 		k.waiting++
-		k.hand = k.next()
+		q = k.next()
 	}
+	k.hand = q
 	if !p.yield(struct{}{}) {
 		panic(abortSignal{})
 	}
 	p.state = procRunning
+}
+
+// runNext takes the run-next fast path for the runnable process p when it
+// applies: p wakes strictly before every scheduled process, so it would be
+// popped right back; the heap is skipped entirely. Strict inequality
+// preserves FIFO ordering at equal instants (a re-pushed proc would sort
+// behind its peers). It reports whether p was selected, with the clock
+// advanced and the event counted.
+//
+// runNext and requeue are the kernel's one rescheduling decision, split so
+// the fast path inlines: park runs it for a process that sleeps and settle
+// for a SleepWhile step that stays idle, so both schedule identically.
+//
+//ccnic:noalloc
+func (k *Kernel) runNext(p *Proc) bool {
+	if top := k.heap.peek(); (top == nil || p.wake < top.wake) &&
+		!k.stopped && (k.deadline < 0 || p.wake <= k.deadline) {
+		k.now = max(k.now, p.wake)
+		k.events++
+		return true
+	}
+	return false
+}
+
+// requeue is the slow path after runNext declined: it queues p at p.wake and
+// selects the process to run next, advancing the clock and counting the
+// event, or returns nil when the run is over (stop or deadline).
+//
+//ccnic:noalloc
+func (k *Kernel) requeue(p *Proc) *Proc {
+	k.seq++
+	p.seq = k.seq
+	if k.stopped {
+		k.heap.push(p) // Shutdown will abort p from the heap
+		return nil
+	}
+	// One sift instead of a push and a pop.
+	q := k.heap.pushpop(p)
+	if k.deadline >= 0 && q.wake > k.deadline {
+		k.push(q) // reschedule for a future Run
+		if k.now < k.deadline {
+			k.now = k.deadline
+		}
+		return nil
+	}
+	if q.wake > k.now {
+		k.now = q.wake
+	}
+	k.events++
+	if k.probe != nil {
+		k.probe.Event(k.now)
+	}
+	return q
+}
+
+// settle runs the SleepWhile step of q, the process just selected to run, in
+// place of resuming it. While the selected process is a stepper whose step
+// reports idle, it reschedules that process one gap later and steps
+// whichever process is selected next. It returns the first process that
+// must really resume (a stepper's step is cleared once it reports work), or
+// nil when the run is over.
+//
+//ccnic:noalloc
+func (k *Kernel) settle(q *Proc) *Proc {
+	for q != nil && q.step != nil {
+		k.stepping = true
+		idle := q.step()
+		k.stepping = false
+		if !idle {
+			q.step = nil
+			return q
+		}
+		q.wake = k.now + q.stepGap
+		if !k.runNext(q) {
+			q = k.requeue(q)
+		}
+	}
+	return q
 }
 
 // Kernel is a discrete-event simulation kernel. Create one with New, add
@@ -212,6 +303,7 @@ type Kernel struct {
 	stopped  bool
 	deadline Time // active RunUntil deadline, or -1
 	events   uint64
+	stepping bool // a SleepWhile step is running (see settle)
 
 	// hand is the process a parking coroutine selected for the run loop to
 	// resume next; nil ends the run (stop, deadline, completion, deadlock).
@@ -249,8 +341,8 @@ func (k *Kernel) Now() Time { return k.now }
 // Live returns the number of spawned processes that have not finished.
 func (k *Kernel) Live() int { return k.live }
 
-// Events returns the number of simulation events (process resumptions) the
-// kernel has executed.
+// Events returns the number of simulation events the kernel has executed:
+// process resumptions and scheduler-run SleepWhile steps.
 func (k *Kernel) Events() uint64 { return k.events }
 
 // NextWake returns the virtual time of the earliest scheduled process and
@@ -340,9 +432,10 @@ func (p *Proc) retire() bool {
 // processes are then aborted. Call from a running process or before Run.
 func (k *Kernel) Stop() { k.stopped = true }
 
-// next pops the next process to run and advances the clock, or returns nil
-// when the run is over (stop, deadline reached, completion, or deadlock —
-// the caller classifies from kernel state).
+// next pops the next process to run (running SleepWhile steps in its place,
+// see settle) and advances the clock, or returns nil when the run is over
+// (stop, deadline reached, completion, or deadlock — the caller classifies
+// from kernel state).
 //
 //ccnic:noalloc
 func (k *Kernel) next() *Proc {
@@ -371,6 +464,9 @@ func (k *Kernel) next() *Proc {
 	k.events++
 	if k.probe != nil {
 		k.probe.Event(k.now)
+	}
+	if p.step != nil {
+		return k.settle(p)
 	}
 	return p
 }

@@ -378,14 +378,25 @@ func TestRerunAfterRunUntil(t *testing.T) {
 }
 
 // The steady-state Sleep/Signal hot path must not allocate: parking,
-// resuming, waiting, and signaling all recycle their storage once the heap
-// and waiter slices have grown to workload size.
+// resuming, waiting, signaling and scheduler-run SleepWhile steps all
+// recycle their storage once the heap and waiter slices have grown to
+// workload size.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	k := New()
 	ev := k.NewEvent("tick")
 	k.Spawn("sleeper", func(p *Proc) {
 		for {
 			p.Sleep(3 * Nanosecond)
+		}
+	})
+	k.Spawn("poller", func(p *Proc) {
+		polls := 0
+		idle := func() bool {
+			polls++
+			return polls%7 != 0
+		}
+		for {
+			p.SleepWhile(2*Nanosecond, idle)
 		}
 	})
 	k.Spawn("waiter", func(p *Proc) {
