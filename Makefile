@@ -101,12 +101,14 @@ protocols:
 	$(GO) run ./cmd/ccbench -quick -check -protocol cxl fig13 fig17 proto-sweep > /dev/null
 
 # Quick local fabric matrix: the switch model's own tests, the fairness and
-# partition-invariance properties at the cluster layer, and the fabric
-# experiment family with the invariant engine attached. The full
-# ports x shards x seed grid runs in CI (fabric-matrix job).
+# partition-invariance properties at the cluster layer, the switch engine's
+# own tests (totals accounting, seeded defect), and the fabric experiment
+# family with the invariant engine attached. The full ports x shards x seed
+# grid runs in CI (fabric-matrix job).
 fabric:
 	$(GO) test -count=1 ./internal/fabric/
 	$(GO) test -count=1 -run 'Fairness|Flow|Tenant|Signaling' ./internal/cluster/
+	$(GO) test -count=1 -run 'Fabric' ./internal/check/
 	$(GO) run ./cmd/ccbench -quick -check fabric-incast fabric-isolation fabric-crossover > /dev/null
 
 # Quick local chaos matrix: the in-fabric fault classes (portflap, corrupt,

@@ -1,17 +1,25 @@
 // Package check implements the online invariant engine behind ccbench
-// -check: a read-only coherence.Probe + sim.Probe that validates the DESIGN
-// §5 invariants after every relevant model event. The model packages never
-// import this package — they emit events through the nil-guarded probe hooks
-// compiled into coherence, ring, bufpool, sim, and loopback, so the disabled
-// path costs one predictable branch per event.
+// -check: a read-only observer that validates the DESIGN §5 invariants after
+// every relevant model event. The model packages never import this package —
+// they emit events through the nil-guarded probe hooks compiled into
+// coherence, ring, bufpool, sim, loopback and fabric, so the disabled path
+// costs one predictable branch per event.
+//
+// Every engine watches one component — a coherence System (Attach) or a
+// fabric Switch (AttachFabric) — and that component's kernel through
+// sim.Probe, and they all share one lifecycle: violations carry the sim
+// time, collect mode and check counting work the same way, and each kernel
+// drain runs the component's whole-model pass and flushes the engine's
+// totals.
 //
 // Checks come in two tiers. Cheap per-event checks run on every probe
 // callback: the mutated line's directory entry versus the caches it names,
 // a ring's cursor and ready-flag invariants, a pool's counter conservation,
-// link-busy and simulated-time monotonicity. Expensive whole-model scans
-// (stray cached copies unknown to the directory, duplicate buffers across
-// free lists) run every fullEvery kernel events and once more when the
-// kernel drains, so "reconcile at drain" holds for every run.
+// a switch port's conservation and DRR bounds, link-busy and simulated-time
+// monotonicity. Expensive whole-model scans (stray cached copies unknown to
+// the directory, duplicate buffers across free lists, every switch port)
+// run when the kernel drains — and, for a System, every fullEvery kernel
+// events — so "reconcile at drain" holds for every run.
 package check
 
 import (
@@ -56,12 +64,14 @@ func (v *Violation) Unwrap() error { return v.Err }
 // cursors snapshots a ring's monotone positions between events.
 type cursors [4]int
 
-// Engine validates one System. It implements coherence.Probe and sim.Probe.
-// Engines are not safe for concurrent use, matching the kernel's
-// one-runnable-process guarantee under which all probe callbacks fire.
+// Engine validates one System or one Switch. It implements sim.Probe, and
+// coherence.Probe or fabric.Probe for its component. Engines are not safe
+// for concurrent use, matching the kernel's one-runnable-process guarantee
+// under which all probe callbacks fire.
 type Engine struct {
-	sys *coherence.System
 	k   *sim.Kernel
+	sys *coherence.System // nil on a switch engine
+	sw  *fabric.Switch    // nil on a memory-system engine
 
 	// collect accumulates violations instead of panicking (self-tests).
 	collect    bool
@@ -70,16 +80,17 @@ type Engine struct {
 	checks        uint64
 	flushedChecks uint64
 	flushed       bool
-	fullEvery     uint64
-	lastFull      uint64
+	lastNow       sim.Time
 
-	lastNow  sim.Time
-	lastBusy [2]sim.Time
-
-	// Structures seen via ObjectEvent, re-validated on full passes.
-	objs []coherence.Checkable
-	seen map[coherence.Checkable]bool
-	prev map[coherence.Checkable]cursors
+	// Memory-system state: the full-scan throttle, link busy-time
+	// monotonicity, and the structures seen via ObjectEvent, re-validated
+	// on full passes.
+	fullEvery uint64
+	lastFull  uint64
+	lastBusy  [2]sim.Time
+	objs      []coherence.Checkable
+	seen      map[coherence.Checkable]bool
+	prev      map[coherence.Checkable]cursors
 }
 
 // Attach builds an engine for sys and installs it as both the system's and
@@ -113,8 +124,9 @@ func (e *Engine) SetCollect(on bool) { e.collect = on }
 // Violations returns the failures accumulated in collect mode.
 func (e *Engine) Violations() []error { return e.violations }
 
-// SetFullEvery overrides the full-scan throttle (kernel events between
-// whole-model passes). Tests use small values to scan aggressively.
+// SetFullEvery overrides a memory-system engine's full-scan throttle (kernel
+// events between whole-model passes). Tests use small values to scan
+// aggressively.
 func (e *Engine) SetFullEvery(n uint64) { e.fullEvery = n }
 
 // Checks returns the number of invariant evaluations this engine performed.
@@ -151,6 +163,10 @@ func (e *Engine) step() {
 
 // fullPass runs the expensive whole-model scans.
 func (e *Engine) fullPass() {
+	if e.sw != nil {
+		e.switchPass()
+		return
+	}
 	e.checks++
 	if err := e.sys.CheckInvariants(); err != nil {
 		e.fail(err)

@@ -8,6 +8,7 @@ import (
 	"ccnic/internal/check"
 	"ccnic/internal/coherence"
 	"ccnic/internal/device"
+	"ccnic/internal/fabric"
 	"ccnic/internal/loopback"
 	"ccnic/internal/platform"
 	"ccnic/internal/sim"
@@ -79,7 +80,7 @@ func TestRunEndFlushesTotals(t *testing.T) {
 // explicit plumbing.
 func TestEnableAuto(t *testing.T) {
 	check.EnableAuto()
-	defer func() { coherence.AutoAttach = nil }()
+	defer func() { coherence.AutoAttach, fabric.AutoAttach = nil, nil }()
 	sys := coherence.NewSystem(sim.New(), platform.ICX())
 	if sys.Probe() == nil {
 		t.Fatal("EnableAuto did not install a probe on a new system")

@@ -4,52 +4,21 @@ import (
 	"ccnic/internal/fabric"
 )
 
-// FabricEngine validates one fabric Switch online: after every queuing
-// event on a port it re-checks that port's conservation (admitted =
-// forwarded + queued + serializing), bounded occupancy, and the DRR deficit bound
-// (deficit <= quantum + largest queued packet). Like the coherence engine
-// it is installed through a nil-guarded probe hook, so unchecked runs pay
-// one branch per event, and violations panic as *Violation.
-type FabricEngine struct {
-	sw      *fabric.Switch
-	checks  uint64
-	flushed uint64
-
-	collect    bool
-	violations []error
-}
-
-// AttachFabric builds an engine for sw and installs it as the switch probe.
-func AttachFabric(sw *fabric.Switch) *FabricEngine {
-	e := &FabricEngine{sw: sw}
+// AttachFabric builds an engine for sw and installs it as both the switch's
+// and its kernel's probe. After every queuing event on a port it re-checks
+// that port's conservation (admitted = forwarded + queued + serializing),
+// bounded occupancy and the DRR deficit bound (deficit <= quantum + largest
+// queued packet), plus switch-wide conservation; every drain checks all
+// ports.
+func AttachFabric(sw *fabric.Switch) *Engine {
+	e := &Engine{k: sw.Kernel(), sw: sw}
 	sw.SetProbe(e)
-	totalEngines.Add(1)
+	e.k.SetProbe(e)
 	return e
 }
 
-// SetCollect switches the engine to accumulate violations (up to a cap)
-// instead of panicking. Used by self-tests that expect failures.
-func (e *FabricEngine) SetCollect(on bool) { e.collect = on }
-
-// Violations returns the failures accumulated in collect mode.
-func (e *FabricEngine) Violations() []error { return e.violations }
-
-// Checks returns the number of invariant evaluations performed.
-func (e *FabricEngine) Checks() uint64 { return e.checks }
-
-func (e *FabricEngine) fail(err error) {
-	if e.collect {
-		if len(e.violations) < 64 {
-			e.violations = append(e.violations, err)
-		}
-		return
-	}
-	panic(&Violation{Err: err})
-}
-
-// port runs the per-event port validation and batches the global counter
-// flush so the hot path stays off the shared atomics.
-func (e *FabricEngine) port(port int) {
+// PortEvent implements fabric.Probe.
+func (e *Engine) PortEvent(port int) {
 	e.checks++
 	if err := e.sw.CheckPort(port); err != nil {
 		e.fail(err)
@@ -57,38 +26,21 @@ func (e *FabricEngine) port(port int) {
 	if err := e.sw.CheckConservation(); err != nil {
 		e.fail(err)
 	}
-	if e.checks-e.flushed >= 1024 {
-		totalChecks.Add(e.checks - e.flushed)
-		e.flushed = e.checks
+}
+
+// switchPass is a switch engine's whole-model pass: switch-wide
+// conservation and every port.
+func (e *Engine) switchPass() {
+	e.checks++
+	if err := e.sw.CheckConservation(); err != nil {
+		e.fail(err)
+	}
+	for port := 0; port < e.sw.NumPorts(); port++ {
+		e.checks++
+		if err := e.sw.CheckPort(port); err != nil {
+			e.fail(err)
+		}
 	}
 }
 
-// Queued implements fabric.Probe.
-func (e *FabricEngine) Queued(sw *fabric.Switch, port int, pkt fabric.Packet) {
-	e.port(port)
-}
-
-// Forwarded implements fabric.Probe. It additionally validates that the
-// forwarded packet was routable — a forwarded packet whose destination has
-// no route would mean the scheduler invented traffic.
-func (e *FabricEngine) Forwarded(sw *fabric.Switch, port int, pkt fabric.Packet) {
-	e.port(port)
-}
-
-// Dropped implements fabric.Probe: a drop must coincide with a full queue or
-// ingress pipeline, which CheckPort's occupancy bounds cover; it still
-// counts as an evaluation so checked runs account for the drop path.
-func (e *FabricEngine) Dropped(sw *fabric.Switch, port int, pkt fabric.Packet, ingress bool) {
-	e.port(port)
-}
-
-// Flush pushes any unbatched evaluations into the package totals; harnesses
-// call it after a run completes.
-func (e *FabricEngine) Flush() {
-	if e.checks > e.flushed {
-		totalChecks.Add(e.checks - e.flushed)
-		e.flushed = e.checks
-	}
-}
-
-var _ fabric.Probe = (*FabricEngine)(nil)
+var _ fabric.Probe = (*Engine)(nil)

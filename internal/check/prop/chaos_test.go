@@ -37,7 +37,7 @@ func runChaos(t *testing.T, class string, seed int64, workers int) string {
 			ZipfS: 0.75, TrackEvery: 8, Seed: 17,
 		}},
 	})
-	var engines []*check.FabricEngine
+	var engines []*check.Engine
 	for _, sw := range c.Switches {
 		e := check.AttachFabric(sw)
 		e.SetCollect(true)

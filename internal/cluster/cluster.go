@@ -210,6 +210,9 @@ type Node struct {
 	// part of every fabric hop and of the declared lookahead.
 	ep  *pcie.Endpoint
 	flt *fault.Injector
+	// routeVia is, per destination, the switch this node sends through:
+	// 0 unless the reliable transport failed that route over.
+	routeVia []uint8
 
 	txq      []Message
 	txHead   int
@@ -225,7 +228,6 @@ type Node struct {
 	flowPend   map[int64]*flowTrack
 	retxHeap   []retxEntry // deadline min-heap (at, seq)
 	retxWake   *sim.Event
-	routeVia   []uint8 // per destination: current switch
 	dstStrikes []int   // per destination: consecutive timeouts
 	swHealthy  []bool  // per switch: probe-derived health
 	probeRing  []uint64
@@ -349,15 +351,16 @@ func New(cfg Config) *Cluster {
 		c.nodeShard[i] = s
 		k := shards[s].Kernel()
 		n := &Node{
-			id:      i,
-			c:       c,
-			k:       k,
-			shd:     shards[s],
-			port:    interconn.New(plat.UPIBandwidth, plat.UPIHeader, plat.UPICtrlMsg),
-			ep:      pcie.NewEndpoint(k, plat.PCIe),
-			flt:     fault.NewInjector(cfg.Faults.ForShard(i)),
-			txWake:  k.NewEvent(fmt.Sprintf("n%d.tx", i)),
-			winWake: k.NewEvent(fmt.Sprintf("n%d.win", i)),
+			id:       i,
+			c:        c,
+			k:        k,
+			shd:      shards[s],
+			port:     interconn.New(plat.UPIBandwidth, plat.UPIHeader, plat.UPICtrlMsg),
+			ep:       pcie.NewEndpoint(k, plat.PCIe),
+			flt:      fault.NewInjector(cfg.Faults.ForShard(i)),
+			txWake:   k.NewEvent(fmt.Sprintf("n%d.tx", i)),
+			winWake:  k.NewEvent(fmt.Sprintf("n%d.win", i)),
+			routeVia: make([]uint8, cfg.Hosts),
 		}
 		// Affinity check: everything the node owns issues events on the
 		// node's shard.
@@ -534,8 +537,8 @@ func (n *Node) start() {
 			p.Sleep(plat.L2Hit)  // header fill
 			p.Sleep(doorbell)    // host→NIC signal (CC-NIC or PCIe model)
 			m.Sent = p.Now()
+			m.Via = n.routeVia[dst]
 			if n.c.cfg.Reliable {
-				m.Via = n.routeVia[dst]
 				n.registerRPC(p.Now(), m)
 			}
 			n.txq = append(n.txq, m)
@@ -614,12 +617,10 @@ func (c *Cluster) receive(p *sim.Proc, m Message) {
 	resp := Message{
 		From: m.To, To: m.From, Seq: m.Seq, Resp: true, Sent: m.Sent,
 		Bytes: c.cfg.ReqSize, Class: fabric.ClassRPC,
-	}
-	if c.cfg.Reliable {
 		// The responder routes by its own table: an outage between the
 		// requester and switch 0 usually bites both directions of that
 		// port, and the responder's probes notice it independently.
-		resp.Via = n.routeVia[m.From]
+		Via: n.routeVia[m.From],
 	}
 	p.Sleep(plat.L2Hit) // response header
 	c.send(p, m.To, c.nicSer(c.cfg.ReqSize)+m.respSpike, resp)

@@ -162,9 +162,7 @@ func (c *Cluster) startGenerator(si int, spec FlowSpec, src int) {
 			m := Message{
 				From: src, To: spec.Dst, Seq: seq, Flow: si + 1,
 				Tenant: tenant, Bytes: bytes, Class: spec.Class,
-			}
-			if g != nil {
-				m.Via = n.routeVia[spec.Dst]
+				Via: n.routeVia[spec.Dst],
 			}
 			if spec.TrackEvery > 0 && seq%int64(spec.TrackEvery) == 0 {
 				m.Tracked = true
@@ -206,9 +204,7 @@ func (c *Cluster) receiveFlow(p *sim.Proc, n *Node, m Message) {
 		resp := Message{
 			From: m.To, To: m.From, Seq: m.Seq, Resp: true, Flow: m.Flow,
 			Tracked: true, Sent: m.Sent, Bytes: trackRespBytes, Class: fabric.ClassRPC,
-		}
-		if c.cfg.Reliable {
-			resp.Via = n.routeVia[m.From]
+			Via: n.routeVia[m.From],
 		}
 		c.send(p, m.To, c.nicSer(trackRespBytes), resp)
 	}

@@ -114,7 +114,6 @@ func (n *Node) startTransport() {
 	n.pend = make(map[int64]*pendRPC)
 	n.flowPend = make(map[int64]*flowTrack)
 	n.retxWake = n.k.NewEvent(fmt.Sprintf("n%d.retx", n.id))
-	n.routeVia = make([]uint8, c.cfg.Hosts)
 	n.dstStrikes = make([]int, c.cfg.Hosts)
 	n.swHealthy = make([]bool, c.cfg.Switches)
 	for v := range n.swHealthy {
@@ -281,7 +280,9 @@ func (n *Node) probeLoop(p *sim.Proc) {
 			n.ProbesSent++
 			m := Message{
 				From: n.id, To: n.id, Seq: n.probeSeq, Probe: true,
-				Via: uint8(v), Bytes: probeBytes, Class: c.probeClass(),
+				// Probes ride the latency class, so probe loss tracks
+				// the class whose SLO failover protects.
+				Via: uint8(v), Bytes: probeBytes, Class: fabric.ClassRPC,
 			}
 			c.send(p, n.id, 0, m)
 		}
@@ -290,10 +291,6 @@ func (n *Node) probeLoop(p *sim.Proc) {
 
 // probeBytes is a health probe's wire size: a minimal control frame.
 const probeBytes = 64
-
-// probeClass is the traffic class probes ride on: the latency class, so
-// probe loss tracks the class whose SLO failover protects.
-func (c *Cluster) probeClass() fabric.Class { return fabric.ClassRPC }
 
 // probeReturned scores a probe that made it back through its switch.
 func (n *Node) probeReturned(m Message) {

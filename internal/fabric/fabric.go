@@ -163,15 +163,12 @@ type Outage struct {
 }
 
 // Probe observes switch queuing for online validation (internal/check).
-// Hook calls are nil-guarded; a run without a checker pays one branch per
-// event.
+// PortEvent fires after every queuing event on a port — an egress
+// admission, a finished serialization, or a drop (the ingress port for
+// arrival and routing-stage drops, the egress port otherwise). Calls go
+// through a nil guard; a run without a checker pays one branch per event.
 type Probe interface {
-	// Queued fires after a packet is admitted to an egress queue.
-	Queued(sw *Switch, port int, pkt Packet)
-	// Forwarded fires after a packet finishes egress serialization.
-	Forwarded(sw *Switch, port int, pkt Packet)
-	// Dropped fires when a packet is tail-dropped (ingress or egress).
-	Dropped(sw *Switch, port int, pkt Packet, ingress bool)
+	PortEvent(port int)
 }
 
 // AutoAttach, when non-nil, is invoked on every Switch created by New.
@@ -363,6 +360,15 @@ func (sw *Switch) Config() Config { return sw.cfg }
 // SetProbe installs (or removes, with nil) the validation probe.
 func (sw *Switch) SetProbe(p Probe) { sw.probe = p }
 
+// portEvent reports a queuing event on port to the probe, if one is attached.
+//
+//ccnic:noalloc
+func (sw *Switch) portEvent(port int) {
+	if sw.probe != nil {
+		sw.probe.PortEvent(port)
+	}
+}
+
 // Attach connects host (a virtual address) living on shard hs to the next
 // free port, returning the port number. deliver runs on hs's kernel for
 // every packet forwarded to host. e must be the engine the switch was
@@ -457,16 +463,12 @@ func (sw *Switch) arrive(p *sim.Proc, pkt Packet) {
 	}
 	if sw.isDown(inPort, p.Now()) {
 		in.downDrops++
-		if sw.probe != nil {
-			sw.probe.Dropped(sw, inPort, pkt, true)
-		}
+		sw.portEvent(inPort)
 		return
 	}
 	if in.inFlight >= sw.cfg.IngressCap {
 		in.drops++
-		if sw.probe != nil {
-			sw.probe.Dropped(sw, inPort, pkt, true)
-		}
+		sw.portEvent(inPort)
 		return
 	}
 	in.inFlight++
@@ -483,16 +485,12 @@ func (sw *Switch) arrive(p *sim.Proc, pkt Packet) {
 		}
 		if sw.blackholed(pkt.Dst, p.Now()) {
 			in.blackholeDrops++
-			if sw.probe != nil {
-				sw.probe.Dropped(sw, inPort, pkt, true)
-			}
+			sw.portEvent(inPort)
 			return
 		}
 		if sw.flt.FabricCorrupt(pkt.Src, seq) {
 			in.corruptDrops++
-			if sw.probe != nil {
-				sw.probe.Dropped(sw, inPort, pkt, true)
-			}
+			sw.portEvent(inPort)
 			return
 		}
 	}
@@ -504,9 +502,7 @@ func (sw *Switch) arrive(p *sim.Proc, pkt Packet) {
 		// already queued on it keep draining (the flap gates admission,
 		// not the store-and-forward pipeline).
 		eg.downDrops++
-		if sw.probe != nil {
-			sw.probe.Dropped(sw, outPort, pkt, false)
-		}
+		sw.portEvent(outPort)
 		return
 	}
 	if sw.flt != nil {
@@ -517,9 +513,7 @@ func (sw *Switch) arrive(p *sim.Proc, pkt Packet) {
 	f := &eg.flows[sw.flowIdx(pkt)]
 	if f.len() >= sw.cfg.FlowCap {
 		eg.drops++
-		if sw.probe != nil {
-			sw.probe.Dropped(sw, outPort, pkt, false)
-		}
+		sw.portEvent(outPort)
 		return
 	}
 	f.q = append(f.q, entry{at: p.Now(), pkt: pkt})
@@ -528,9 +522,7 @@ func (sw *Switch) arrive(p *sim.Proc, pkt Packet) {
 	if eg.queued > eg.highWater {
 		eg.highWater = eg.queued
 	}
-	if sw.probe != nil {
-		sw.probe.Queued(sw, outPort, pkt)
-	}
+	sw.portEvent(outPort)
 	eg.wake.Signal()
 }
 
@@ -629,9 +621,7 @@ func (sw *Switch) egressLoop(p *sim.Proc, eg *egress) {
 		eg.forwarded++
 		eg.sentBytes += int64(e.pkt.Bytes)
 		eg.classPkts[e.pkt.Class]++
-		if sw.probe != nil {
-			sw.probe.Forwarded(sw, eg.port, e.pkt)
-		}
+		sw.portEvent(eg.port)
 		sw.down[sw.hostShard[e.pkt.Dst]].Send(p, sw.cfg.HopLat, e.pkt)
 	}
 }
@@ -825,8 +815,9 @@ func (sw *Switch) Stats() Stats {
 }
 
 // CheckPort validates one egress port's conservation and DRR invariants,
-// returning a descriptive error on violation. internal/check calls it from
-// the probe hooks; it is exported so the checker needs no private access.
+// returning a descriptive error on violation. internal/check calls it on
+// every PortEvent and at every drain; it is exported so the checker needs no
+// private access.
 func (sw *Switch) CheckPort(port int) error {
 	eg := sw.ports[port]
 	queued := 0
@@ -885,6 +876,11 @@ func (sw *Switch) CheckConservation() error {
 
 // NumPorts returns the number of attached ports.
 func (sw *Switch) NumPorts() int { return len(sw.ports) }
+
+// CorruptQueuedForTest bumps port's queued counter without queuing a
+// packet, so the counter disagrees with the queue contents. It exists only
+// so checker tests can seed a defect; no model path calls it.
+func (sw *Switch) CorruptQueuedForTest(port int) { sw.ports[port].queued++ }
 
 // maxQueuedBytes returns the largest queued packet's size (0 when empty):
 // the slack a deficit may legitimately hold beyond one quantum is bounded by

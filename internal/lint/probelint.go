@@ -8,9 +8,9 @@ import (
 
 // Probelint requires every call through a Probe-typed validation hook to be
 // nil-guarded. The model packages emit validation events through optional
-// Probe interfaces (coherence.Probe, sim.Probe); the contract (DESIGN.md §5)
-// is that a run without a checker attached pays exactly one predictable
-// branch per hook. An unguarded call makes the nil case a panic instead of a
+// Probe interfaces (coherence.Probe, sim.Probe, fabric.Probe); the contract
+// (DESIGN.md §5) is that a run without a checker attached pays exactly one
+// predictable branch per hook. An unguarded call makes the nil case a panic instead of a
 // no-op — and the hooks are nil in every production run.
 //
 // Taking a method value (`emit := pr.Event`) is held to the same rule:
